@@ -1,7 +1,7 @@
 # Developer entry points. The benches write their JSON artifacts into
 # the directory they run from, so bench-json runs from the repo root.
 
-.PHONY: all build test verify recall-gate recover-gate fuzz bench-json stats-drift trace clean
+.PHONY: all build test verify recall-gate recover-gate synth-long-floor fuzz bench-json stats-drift trace clean
 
 all: build
 
@@ -13,10 +13,10 @@ test:
 
 # The one command a PR must pass: full build plus the unit, property,
 # differential and cram suites, the fuzzer's guided-vs-random
-# acceptance over the false-negative corpus, and the injection recall
-# gate.
+# acceptance over the false-negative corpus, the injection recall
+# gate, the recovery gate and the long-path floor.
 verify:
-	dune build && dune runtest && $(MAKE) fuzz && $(MAKE) recall-gate && $(MAKE) recover-gate
+	dune build && dune runtest && $(MAKE) fuzz && $(MAKE) recall-gate && $(MAKE) recover-gate && $(MAKE) synth-long-floor
 
 # The recall gate: the seed-1 injection campaign must report a closed
 # pointer-arith blind spot (0 since the offset lattice) and static-tier
@@ -42,6 +42,19 @@ recover-gate:
 	grep -q '"all_detected": true' BENCH_recover.json
 	grep -q '"clean": true' BENCH_recover.json
 	@echo "recovery gate OK: all corruption mutants detected, guarded base clean"
+
+# The long-path floor: checking Synth seed 1 at 60 functions from its
+# one root (paths of about 9,700 events) must take under 5 s, best of 3.
+# Rule evaluation linear in path length takes well under a second there;
+# rules quadratic in path length took about 36 s.
+synth-long-floor:
+	dune build bench/main.exe
+	@ms=$$(dune exec bench/main.exe -- synth-long | sed -n 's/^synth_long: \([0-9]*\).*/\1/p'); \
+	if [ -z "$$ms" ] || [ "$$ms" -ge 5000 ]; then \
+	  echo "synth-long floor FAILED: $${ms:-no result} ms (need < 5000)"; exit 1; \
+	else \
+	  echo "synth-long floor OK: $$ms ms (need < 5000)"; \
+	fi
 
 # Deterministic, CI-safe smoke of the interleaving fuzzer: seed-1
 # campaigns over the injection campaign's known misses (sub-second at

@@ -928,6 +928,45 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
+(* The long-path regime: Synth seed 1 at 60 functions, checked from its
+   single [main] root, walks 64 paths of up to about 9,700 events. Rule
+   evaluation is linear in path length, so the check takes well under a
+   second; list-scan rules, quadratic in path length, took about 36 s.
+   `synth-long` prints the row and `make synth-long-floor` holds it
+   under a wall-clock floor. *)
+
+type long_row = { long_ms : float; long_events : int; long_path_max : int }
+
+let synth_long_row () =
+  let cfg = { Corpus.Synth.default_config with seed = 1; nfuncs = 60 } in
+  let prog, _ = Corpus.Synth.generate cfg in
+  let check () = Analysis.Checker.check ~model:Analysis.Model.Strict prog in
+  ignore (check ()) (* warm up *);
+  let best = ref infinity and events = ref 0 in
+  for _ = 1 to 3 do
+    let t0 = Deepmc.Clock.now () in
+    let r = check () in
+    best := Float.min !best (Deepmc.Clock.elapsed_s t0);
+    events := r.Analysis.Checker.event_count
+  done;
+  let dsg = Dsa.Dsg.build prog in
+  let longest =
+    List.fold_left
+      (fun m (src : Analysis.Trace.source) ->
+        Seq.fold_left
+          (fun m t -> max m (Analysis.Trace.length t))
+          m src.Analysis.Trace.traces)
+      0 (Analysis.Trace.stream dsg prog)
+  in
+  { long_ms = !best *. 1000.; long_events = !events; long_path_max = longest }
+
+let synth_long () =
+  section "Long paths: Synth seed 1, 60 functions, one root";
+  let r = synth_long_row () in
+  Fmt.pr "synth_long: %.1f ms, %d events, %d on the longest path (best of 3)@."
+    r.long_ms r.long_events r.long_path_max
+
+(* ------------------------------------------------------------------ *)
 (* Static-checker throughput: streaming engine + domain pool vs the
    legacy materialize-then-check pipeline.  `perf --json` additionally
    writes BENCH_checker.json for EXPERIMENTS.md / CI. *)
@@ -1009,6 +1048,7 @@ let perf ?(json = false) () =
     Fmt.pr "WARNING: engines disagree on event counts (%d/%d/%d)@." legacy_ev
       s1_ev sd_ev;
   if json then begin
+    let long = synth_long_row () in
     (* one untimed telemetry-enabled streaming sweep; kept out of the
        measured runs so instrument cost never touches the numbers *)
     let telemetry =
@@ -1027,20 +1067,27 @@ let perf ?(json = false) () =
     in
     Printf.fprintf oc
       "{\n\
-       \  \"workload\": {\"programs\": %d, \"events\": %d},\n\
+       \  \"workload\": {\"programs\": %d, \"corpus_programs\": %d, \
+       \"synth_programs\": %d, \"events\": %d},\n\
        \  \"domains\": %d,\n\
        %s,\n\
        %s,\n\
        %s,\n\
+       \  \"synth_long\": {\"seed\": 1, \"nfuncs\": 60, \"elapsed_ms\": %.1f, \
+       \"events\": %d, \"events_per_path_max\": %d},\n\
        \  \"speedup_vs_legacy\": %.2f,\n\
-       \  \"speedup_vs_1_domain\": %.2f,\n\
+       \  \"speedup_vs_1_domain\": %s,\n\
        \  \"telemetry\": %s\n\
        }\n"
-      (List.length jobs) legacy_ev domains
+      (List.length jobs) (List.length corpus_jobs) (List.length synth_jobs)
+      legacy_ev domains
       (bench "legacy_materialized_1_domain" legacy_ev legacy_s legacy_peak)
       (bench "streaming_1_domain" s1_ev s1_s s1_peak)
       (bench "streaming_default_domains" sd_ev sd_s sd_peak)
-      speedup_legacy speedup_1d
+      long.long_ms long.long_events long.long_path_max speedup_legacy
+      (* with one domain the default-domain row is the 1-domain row, and
+         the ratio of a measurement with itself is not a speedup *)
+      (if domains = 1 then "null" else Fmt.str "%.2f" speedup_1d)
       (Deepmc.Json_report.to_string telemetry);
     close_out oc;
     Fmt.pr "wrote BENCH_checker.json@."
@@ -1518,6 +1565,7 @@ let sections : (string * (unit -> unit)) list =
     ("parallel", parallel);
     ("crashspace", crashspace);
     ("perf", perf ?json:None);
+    ("synth-long", synth_long);
     ("recall", recall ?json:None);
     ("recover", recover_bench ?json:None);
     ("fuzz", fuzz_bench ?json:None);

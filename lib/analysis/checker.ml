@@ -12,7 +12,11 @@
      independent roots are checked concurrently on the shared domain
      pool.
    - [Config.Materialized]: the original collect-everything-then-check
-     pipeline, kept as the oracle. *)
+     pipeline, kept as the oracle.
+
+   Either way a path costs time linear in its length: each of the seven
+   rules is one pass over it, keeping its address state in buckets keyed
+   by DSG node ([Rules]). *)
 
 type result = {
   model : Model.t;

@@ -47,6 +47,10 @@ val applicable_rules : Model.t -> rule_meta list
 val check_trace : ctx -> Trace.t -> Warning.t list
 (** Run every applicable rule over one trace. *)
 
+val static_witness : scoped list -> Warning.t -> Witness.t
+(** The minimal event slice behind a warning fired on the scoped path:
+    what {!check_trace} attaches while witness capture is enabled. *)
+
 (** {1 Incremental checking} — the streaming engine's per-path state.
 
     A persistent scoping state: fork an in-flight path by reusing the

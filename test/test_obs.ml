@@ -86,7 +86,7 @@ let test_catalog_registration () =
     (fun n ->
       if not (List.mem n names) then Alcotest.failf "%s not in catalog" n)
     [
-      "pool.steals"; "trace.paths_expanded"; "rules.fired";
+      "pool.steals"; "trace.paths_expanded"; "rules.events_scanned";
       "checker.warning_total"; "shadow.lock_contention"; "crash.points_explored";
       "inject.blind_spot_fns";
     ];

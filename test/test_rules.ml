@@ -588,6 +588,142 @@ let test_warning_dedup () =
   check Alcotest.int "dedup collapses" 1
     (List.length (Analysis.Warning.dedup [ w (); w (); w () ]))
 
+(* ------------------------------------------------------------------ *)
+(* Rule-level edge cases: hand-built traces over the DSG nodes of two
+   objects of [s], one test per semantic a rewrite of a rule's
+   evaluation could silently change. Event i sits on line i + 1. *)
+
+let edge_prog =
+  Nvmir.Parser.parse
+    (header
+   ^ {|
+func main() {
+entry:
+  p = alloc pmem s
+  q = alloc pmem s
+  ret
+}
+|})
+
+let edge_dsg = Dsa.Dsg.build edge_prog
+
+let node v =
+  match Dsa.Dsg.node_of_var edge_dsg ~fname:"main" v with
+  | Some n -> n
+  | None -> Alcotest.failf "no DSG node for %s" v
+
+let whole v = Dsa.Aaddr.whole (node v)
+let fld ?(offset = Dsa.Aaddr.Off_exact 0) ?(index = Dsa.Aaddr.No_index) v f =
+  { (Dsa.Aaddr.field (node v) f) with Dsa.Aaddr.offset; index }
+
+let trace kinds =
+  List.mapi
+    (fun i kind ->
+      Analysis.Event.make ~fname:"main"
+        ~loc:(Nvmir.Loc.make ~file:"edge.c" ~line:(i + 1))
+        kind)
+    kinds
+
+(* The (rule, line) pairs [rule] emits on [kinds], in emission order. *)
+let emitted ?(model = Analysis.Model.Strict) rule kinds =
+  let ctx =
+    { Analysis.Rules.model; dsg = edge_dsg; tenv = Nvmir.Prog.tenv edge_prog }
+  in
+  List.map
+    (fun (w : Analysis.Warning.t) ->
+      (Analysis.Warning.rule_name w.Analysis.Warning.rule,
+       w.Analysis.Warning.loc.Nvmir.Loc.line))
+    (rule ctx (Analysis.Rules.scope_trace (trace kinds)))
+
+let pairs = Alcotest.(list (pair string int))
+
+open Analysis.Event
+
+let test_edge_log_coverage_unordered () =
+  let unflushed = Analysis.Rules.check_unflushed_write in
+  check pairs "log earlier in an enclosing tx covers" []
+    (emitted unflushed
+       [ Tx_begin; Log (fld "p" "f"); Tx_begin; Write (fld "p" "f"); Tx_end; Tx_end ]);
+  check pairs "log later in the same tx covers" []
+    (emitted unflushed [ Tx_begin; Write (fld "p" "f"); Log (whole "p"); Tx_end ]);
+  check pairs "log in a closed sibling tx does not cover"
+    [ ("unflushed-write", 5) ]
+    (emitted unflushed
+       [ Tx_begin; Log (fld "p" "f"); Tx_end; Tx_begin; Write (fld "p" "f"); Tx_end ])
+
+let test_edge_flush_before_write () =
+  check pairs "flush before the write does not cover it"
+    [ ("unflushed-write", 2) ]
+    (emitted Analysis.Rules.check_unflushed_write
+       [ Flush (fld "p" "f", Plain); Write (fld "p" "f"); Fence ])
+
+let test_edge_imprecise_flush_covers_nothing () =
+  let stride = Dsa.Aaddr.off_stride ~base:0 ~stride:2 in
+  check pairs "strided and unknown-offset field flushes cover nothing"
+    [ ("unflushed-write", 1); ("unflushed-write", 3) ]
+    (emitted Analysis.Rules.check_unflushed_write
+       [
+         Write (fld "p" "f");
+         Flush (fld ~offset:stride "p" "f", Plain);
+         Write (fld ~offset:Dsa.Aaddr.Off_top "p" "g");
+         Flush (fld ~offset:Dsa.Aaddr.Off_top "p" "g", Plain);
+       ])
+
+let test_edge_whole_flush_covers_fields () =
+  check pairs "whole-object flush covers every field" []
+    (emitted Analysis.Rules.check_unflushed_write
+       [
+         Write (fld "p" "f");
+         Write (fld ~offset:Dsa.Aaddr.Off_top "p" "g");
+         Write (fld ~index:(Dsa.Aaddr.Sym_index "i") "p" "h");
+         Flush (whole "p", Plain);
+         Fence;
+       ])
+
+let test_edge_epoch_end_unmatched () =
+  let barrier = Analysis.Rules.check_missing_persist_barrier in
+  let model = Analysis.Model.Epoch in
+  check pairs "unmatched Epoch_end closes the events outside epochs"
+    [ ("missing-persist-barrier", 3) ]
+    (emitted ~model barrier
+       [ Write (fld "p" "f"); Flush (fld "p" "f", Plain); Epoch_end ]);
+  check pairs "fenced before the unmatched Epoch_end" []
+    (emitted ~model barrier
+       [ Write (fld "p" "f"); Flush (fld "p" "f", Plain); Fence; Epoch_end ])
+
+let test_edge_strict_barrier_skips_flushes () =
+  let barrier = Analysis.Rules.check_missing_persist_barrier in
+  check pairs "every flush of a batch waits for the same next operation"
+    [ ("missing-persist-barrier", 1); ("missing-persist-barrier", 2) ]
+    (emitted barrier
+       [ Flush (fld "p" "f", Plain); Flush (fld "p" "g", Plain); Write (fld "q" "f") ]);
+  check pairs "a fence after the batch orders it" []
+    (emitted barrier
+       [ Flush (fld "p" "f", Plain); Flush (fld "p" "g", Plain); Fence; Write (fld "q" "f") ])
+
+let test_edge_repeated_protocol_exempt () =
+  let mismatch = Analysis.Rules.check_semantic_mismatch in
+  let split =
+    [ Write (fld "p" "f"); Flush (fld "p" "f", Plain); Fence; Write (fld "p" "g") ]
+  in
+  check pairs "split update fires" [ ("semantic-mismatch", 4) ] (emitted mismatch split);
+  check pairs "re-writing the earlier address later in the unit exempts it" []
+    (emitted mismatch (split @ [ Write (fld "p" "f") ]))
+
+let test_edge_whole_log_nested_tx () =
+  check pairs "whole-object log, partial writes in a nested tx, in event order"
+    [ ("flush-unmodified", 2); ("flush-unmodified", 6) ]
+    (emitted Analysis.Rules.check_flush_coverage
+       [
+         Tx_begin;
+         Log (whole "p");
+         Tx_begin;
+         Write (fld "p" "f");
+         Tx_end;
+         Flush (whole "q", Plain);
+         Tx_end;
+       ])
+
 let suite =
   [
     tc "unflushed write: fires" `Quick test_unflushed_write_fires;
@@ -631,4 +767,15 @@ let suite =
     tc "catalog covers all rules" `Quick test_catalog_covers_all_rules;
     tc "applicable rules by model" `Quick test_applicable_rules_by_model;
     tc "warning dedup" `Quick test_warning_dedup;
+    tc "edge: log coverage is unordered" `Quick test_edge_log_coverage_unordered;
+    tc "edge: flush before the write" `Quick test_edge_flush_before_write;
+    tc "edge: strided/unknown flush covers nothing" `Quick
+      test_edge_imprecise_flush_covers_nothing;
+    tc "edge: whole-object flush covers fields" `Quick
+      test_edge_whole_flush_covers_fields;
+    tc "edge: Epoch_end without Epoch_begin" `Quick test_edge_epoch_end_unmatched;
+    tc "edge: strict barrier skips flushes" `Quick
+      test_edge_strict_barrier_skips_flushes;
+    tc "edge: repeated-protocol exemption" `Quick test_edge_repeated_protocol_exempt;
+    tc "edge: whole-object log, nested tx" `Quick test_edge_whole_log_nested_tx;
   ]
