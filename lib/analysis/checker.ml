@@ -6,17 +6,22 @@
    Two engines produce the same warnings (a differential test enforces
    it on the whole corpus):
 
-   - [Config.Streaming] (default): traces are enumerated lazily per
-     root; each path is fed through [Rules.Incremental] and discarded as
-     soon as its warnings are out, so peak memory is O(live paths), and
-     independent roots are checked concurrently on the shared domain
-     pool.
+   - [Config.Streaming] (default): the [Rules.Incremental] machine is
+     folded over each root's path walk ([Trace.source.walk]). A branch
+     point's state is shared by every path below it, so the rules step
+     each distinct path prefix once, not once per path through it; a
+     path's warnings come out as it ends, peak memory is O(live paths),
+     and independent roots are checked concurrently on the shared
+     domain pool.
    - [Config.Materialized]: the original collect-everything-then-check
-     pipeline, kept as the oracle.
+     pipeline, kept as the oracle; it steps the machine over every path
+     from the start.
 
-   Either way a path costs time linear in its length: each of the seven
-   rules is one pass over it, keeping its address state in buckets keyed
-   by DSG node ([Rules]). *)
+   Each of the seven rules is one pass keeping its address state in
+   buckets keyed by DSG node ([Rules]), so a step costs time in the
+   addresses it touches: the streaming check costs time linear in the
+   distinct path prefixes, the materialized one in the summed path
+   lengths. *)
 
 type result = {
   model : Model.t;
@@ -64,8 +69,7 @@ let check_root_streaming ctx (src : Trace.source) =
       let seen = Hashtbl.create 16 in
       let rev_warnings = ref [] in
       Seq.iter
-        (fun trace ->
-          let st = Rules.Incremental.feed Rules.Incremental.start trace in
+        (fun st ->
           List.iter
             (fun w ->
               let k = Warning.dedup_key w in
@@ -73,8 +77,8 @@ let check_root_streaming ctx (src : Trace.source) =
                 Hashtbl.add seen k ();
                 rev_warnings := w :: !rev_warnings
               end)
-            (Rules.Incremental.finish ctx st))
-        src.Trace.traces;
+            (Rules.Incremental.finish st))
+        (src.Trace.walk (Rules.Incremental.start ctx) Rules.Incremental.step);
       if Obs.enabled () then
         Obs.Metrics.observe m_root_ns
           (Int64.to_int (Int64.sub (Obs.now_ns ()) t0));

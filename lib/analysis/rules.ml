@@ -1,15 +1,20 @@
 (* The checking rules of Table 4 (persistency-model violations) and
    Table 5 (performance bugs), applied to collected traces.
 
-   Every rule is a pure function over a "scoped" trace — the event list
-   annotated with transaction nesting, epoch ordinals and strand ids —
-   plus the DSG for type queries. Each rule is one forward pass over the
-   path, linear in its length: address state lives in buckets keyed by
-   DSG node (see "Node buckets"), and other state by persist unit, epoch
-   or transaction id. Each rule's comment names the state its pass
-   keeps. Rule metadata (which models a rule applies to, its formal
-   statement) lives in [catalog] so the toolkit can print Tables 4 and 5
-   from the registry itself. *)
+   Every rule is a machine stepped one scoped event at a time — the
+   event annotated with transaction nesting, epoch ordinals and strand
+   ids — plus the DSG for type queries. A rule's state is a persistent
+   value: stepping never mutates it, so two paths that share a prefix
+   can share the state the prefix built, and each rule's [finish] only
+   makes the decisions that need the path's end. Address state lives in
+   buckets keyed by DSG node (see "Node buckets"), other state by
+   persist unit, epoch or transaction id, so a step costs time in the
+   addresses it touches, not in the path length; each rule's comment
+   names the state it keeps. [Incremental] steps all seven rules
+   together; each [check_*] folds one of them over a scoped list. Rule
+   metadata (which models a rule applies to, its formal statement)
+   lives in [catalog] so the toolkit can print Tables 4 and 5 from the
+   registry itself. *)
 
 type ctx = { model : Model.t; dsg : Dsa.Dsg.t; tenv : Nvmir.Ty.env }
 
@@ -27,58 +32,84 @@ type scoped = {
   strand : int; (* enclosing strand id, -1 outside strands *)
 }
 
-let scope_trace (trace : Trace.t) : scoped list =
-  let tx_counter = ref 0 in
-  let epoch_counter = ref 0 in
-  let rec go idx tx_stack epoch unit_ strand = function
-    | [] -> []
-    | (e : Event.t) :: rest ->
-      let mk tx_stack epoch strand =
-        {
-          ev = e;
-          idx;
-          tx_depth = List.length tx_stack;
-          tx_id = (match tx_stack with [] -> -1 | t :: _ -> t);
-          tx_stack;
-          epoch;
-          unit_;
-          strand;
-        }
-      in
-      (match e.kind with
-      | Event.Tx_begin ->
-        let id = !tx_counter in
-        incr tx_counter;
-        let stack = id :: tx_stack in
-        mk stack epoch strand :: go (idx + 1) stack epoch unit_ strand rest
-      | Event.Tx_end ->
-        let popped = match tx_stack with [] -> [] | _ :: t -> t in
-        (* the Tx_end event itself belongs to the transaction it closes *)
-        mk tx_stack epoch strand :: go (idx + 1) popped epoch unit_ strand rest
-      | Event.Epoch_begin ->
-        let id = !epoch_counter in
-        incr epoch_counter;
-        mk tx_stack id strand :: go (idx + 1) tx_stack id unit_ strand rest
-      | Event.Epoch_end ->
-        mk tx_stack epoch strand :: go (idx + 1) tx_stack (-1) unit_ strand rest
-      | Event.Strand_begin n ->
-        mk tx_stack epoch n :: go (idx + 1) tx_stack epoch unit_ n rest
-      | Event.Strand_end _ ->
-        mk tx_stack epoch strand
-        :: go (idx + 1) tx_stack epoch unit_ (-1) rest
-      | Event.Fence ->
-        mk tx_stack epoch strand
-        :: go (idx + 1) tx_stack epoch (unit_ + 1) strand rest
-      | Event.Write _ | Event.Flush _ | Event.Log _ | Event.Call_mark _
-      | Event.Ret_mark _ ->
-        mk tx_stack epoch strand :: go (idx + 1) tx_stack epoch unit_ strand rest)
-  in
-  go 0 [] (-1) 0 (-1) trace
+(* The scoping of the events so far: what the next event is annotated
+   with. *)
+type scope = {
+  next_idx : int;
+  tx_counter : int;
+  epoch_counter : int;
+  open_txs : int list; (* innermost first *)
+  open_depth : int;
+  cur_epoch : int;
+  cur_unit : int;
+  cur_strand : int;
+}
 
-let has_marked_epochs scoped =
-  List.exists
-    (fun s -> match s.ev.Event.kind with Event.Epoch_begin -> true | _ -> false)
-    scoped
+let scope_start =
+  {
+    next_idx = 0;
+    tx_counter = 0;
+    epoch_counter = 0;
+    open_txs = [];
+    open_depth = 0;
+    cur_epoch = -1;
+    cur_unit = 0;
+    cur_strand = -1;
+  }
+
+let scope_step sc (e : Event.t) : scope * scoped =
+  let next_idx = sc.next_idx + 1 in
+  let sc' =
+    match e.Event.kind with
+    | Event.Tx_begin ->
+      {
+        sc with
+        next_idx;
+        tx_counter = sc.tx_counter + 1;
+        open_txs = sc.tx_counter :: sc.open_txs;
+        open_depth = sc.open_depth + 1;
+      }
+    | Event.Tx_end -> (
+      match sc.open_txs with
+      | [] -> { sc with next_idx }
+      | _ :: popped -> { sc with next_idx; open_txs = popped; open_depth = sc.open_depth - 1 })
+    | Event.Epoch_begin ->
+      { sc with next_idx; epoch_counter = sc.epoch_counter + 1; cur_epoch = sc.epoch_counter }
+    | Event.Epoch_end -> { sc with next_idx; cur_epoch = -1 }
+    | Event.Strand_begin n -> { sc with next_idx; cur_strand = n }
+    | Event.Strand_end _ -> { sc with next_idx; cur_strand = -1 }
+    | Event.Fence -> { sc with next_idx; cur_unit = sc.cur_unit + 1 }
+    | Event.Write _ | Event.Flush _ | Event.Log _ | Event.Call_mark _
+    | Event.Ret_mark _ -> { sc with next_idx }
+  in
+  (* a begin event lies inside the scope it opens; an end event (the
+     Tx_end of the transaction it closes, the fence of its unit) inside
+     the one it closes *)
+  let at =
+    match e.Event.kind with
+    | Event.Tx_begin | Event.Epoch_begin | Event.Strand_begin _ -> sc'
+    | _ -> sc
+  in
+  ( sc',
+    {
+      ev = e;
+      idx = sc.next_idx;
+      tx_depth = at.open_depth;
+      tx_id = (match at.open_txs with [] -> -1 | t :: _ -> t);
+      tx_stack = at.open_txs;
+      epoch = at.cur_epoch;
+      unit_ = at.cur_unit;
+      strand = at.cur_strand;
+    } )
+
+let scope_trace (trace : Trace.t) : scoped list =
+  let rec go sc acc = function
+    | [] -> List.rev acc
+    | e :: rest ->
+      let sc, s = scope_step sc e in
+      go sc (s :: acc) rest
+  in
+  go scope_start [] trace
 
 let warn ?origin ctx rule (s : scoped) fmt =
   Fmt.kstr
@@ -105,7 +136,8 @@ let field_count ctx node =
    buckets keyed by [Aaddr.node] and a query never leaves one bucket. A
    bucket holds each distinct address once, so per-path state is
    O(distinct addresses). The maps are persistent and start empty: a
-   short path allocates only for the addresses it touches. *)
+   short path allocates only for the addresses it touches, and an
+   update that changes nothing returns the map it was given. *)
 
 module Imap = Map.Make (Int)
 
@@ -136,6 +168,8 @@ let update m a f =
   set_node m a (go (on_node m a))
 
 (* Writes waiting for something to discharge them, grouped by address. *)
+type pending = (Dsa.Aaddr.t * scoped list) list Imap.t
+
 let add_pending m a ss =
   update m a (function None -> ss | Some ss' -> ss @ ss')
 
@@ -157,6 +191,14 @@ let take m b p =
 let in_path_order tagged =
   List.map snd (List.sort (fun (i, _) (j, _) -> Int.compare i j) tagged)
 
+(* [List.map] that returns [l] itself when [f] changes no element. *)
+let rec map_same f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x and rest' = map_same f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 (* Durability state of one epoch or transaction: has it issued a flush,
    and was its latest write, flush or fence a fence? *)
 type closing = { flushed : bool; fenced : bool }
@@ -165,9 +207,10 @@ let unfenced = { flushed = false; fenced = false }
 
 let step_closing c (s : scoped) =
   match s.ev.Event.kind with
-  | Event.Write _ -> { c with fenced = false }
-  | Event.Flush _ -> { flushed = true; fenced = false }
-  | Event.Fence -> { c with fenced = true }
+  | Event.Write _ -> if c.fenced then { c with fenced = false } else c
+  | Event.Flush _ ->
+    if c.flushed && not c.fenced then c else { flushed = true; fenced = false }
+  | Event.Fence -> if c.fenced then c else { c with fenced = true }
   | _ -> c
 
 let unclosed c = c.flushed && not c.fenced
@@ -181,56 +224,73 @@ let unclosed c = c.flushed && not c.fenced
    it sits anywhere in one of the write's enclosing transactions, before
    or after the write.
 
-   Forward pass; the logs of each open transaction by node, and pending
-   writes by node and address: [nest] holds those of the open outermost
-   transaction, which a later log may still cover, [out] those only a
-   later flush can discharge. *)
+   State: the logs of each open transaction by node, and pending writes
+   by node and address: [uw_nest] holds those of the open outermost
+   transaction, which a later log may still cover, [uw_out] those only a
+   later flush can discharge. Whatever is pending when the path ends is
+   unflushed. *)
 
-let check_unflushed_write ctx scoped =
-  let logged s a logs =
+type unflushed = {
+  uw_logs : Dsa.Aaddr.t list Imap.t Imap.t; (* by transaction id *)
+  uw_nest : pending;
+  uw_out : pending;
+}
+
+let unflushed_start =
+  { uw_logs = Imap.empty; uw_nest = Imap.empty; uw_out = Imap.empty }
+
+let unflushed_step st s =
+  let logged a =
     List.exists
       (fun tx ->
-        match Imap.find_opt tx logs with
+        match Imap.find_opt tx st.uw_logs with
         | Some in_tx -> List.exists (Dsa.Aaddr.contained_in a) (on_node in_tx a)
         | None -> false)
       s.tx_stack
   in
-  let rec scan logs nest out = function
-    | [] -> merge_pending out nest
-    | s :: rest -> (
-      match s.ev.Event.kind with
-      | Event.Write a when s.tx_id < 0 ->
-        scan logs nest (add_pending out a [ s ]) rest
-      | Event.Write a when logged s a logs -> scan logs nest out rest
-      | Event.Write a -> scan logs (add_pending nest a [ s ]) out rest
-      | Event.Flush (b, _) ->
-        let flushed a = Dsa.Aaddr.contained_in a b in
-        scan logs (snd (take nest b flushed)) (snd (take out b flushed)) rest
-      | Event.Log b when s.tx_id >= 0 ->
-        let in_tx =
-          Option.value ~default:Imap.empty (Imap.find_opt s.tx_id logs)
-        in
-        let logs = Imap.add s.tx_id (add_addr in_tx b) logs in
-        let covered, nest = take nest b (fun a -> Dsa.Aaddr.contained_in a b) in
-        (* the log covers the writes of its transaction and of the ones
-           nested in it *)
-        let nest =
-          List.fold_left
-            (fun nest (a, ss) ->
-              let outside w = not (List.mem s.tx_id w.tx_stack) in
-              match List.filter outside ss with
-              | [] -> nest
-              | ss -> add_pending nest a ss)
-            nest covered
-        in
-        scan logs nest out rest
-      | Event.Tx_end when s.tx_id >= 0 ->
-        let logs = Imap.remove s.tx_id logs in
-        if s.tx_depth = 1 then
-          scan logs Imap.empty (merge_pending out nest) rest
-        else scan logs nest out rest
-      | _ -> scan logs nest out rest)
-  in
+  match s.ev.Event.kind with
+  | Event.Write a when s.tx_id < 0 ->
+    { st with uw_out = add_pending st.uw_out a [ s ] }
+  | Event.Write a when logged a -> st
+  | Event.Write a -> { st with uw_nest = add_pending st.uw_nest a [ s ] }
+  | Event.Flush (b, _) ->
+    let flushed a = Dsa.Aaddr.contained_in a b in
+    let _, nest = take st.uw_nest b flushed in
+    let _, out = take st.uw_out b flushed in
+    if nest == st.uw_nest && out == st.uw_out then st
+    else { st with uw_nest = nest; uw_out = out }
+  | Event.Log b when s.tx_id >= 0 ->
+    let in_tx =
+      Option.value ~default:Imap.empty (Imap.find_opt s.tx_id st.uw_logs)
+    in
+    let logs = Imap.add s.tx_id (add_addr in_tx b) st.uw_logs in
+    let covered, nest =
+      take st.uw_nest b (fun a -> Dsa.Aaddr.contained_in a b)
+    in
+    (* the log covers the writes of its transaction and of the ones
+       nested in it *)
+    let nest =
+      List.fold_left
+        (fun nest (a, ss) ->
+          let outside w = not (List.mem s.tx_id w.tx_stack) in
+          match List.filter outside ss with
+          | [] -> nest
+          | ss -> add_pending nest a ss)
+        nest covered
+    in
+    { st with uw_logs = logs; uw_nest = nest }
+  | Event.Tx_end when s.tx_id >= 0 ->
+    let logs = Imap.remove s.tx_id st.uw_logs in
+    if s.tx_depth = 1 then
+      {
+        uw_logs = logs;
+        uw_nest = Imap.empty;
+        uw_out = merge_pending st.uw_out st.uw_nest;
+      }
+    else { st with uw_logs = logs }
+  | _ -> st
+
+let unflushed_finish ctx st =
   Imap.fold
     (fun _ groups acc ->
       List.fold_left
@@ -245,600 +305,799 @@ let check_unflushed_write ctx scoped =
               :: acc)
             acc ss)
         acc groups)
-    (scan Imap.empty Imap.empty Imap.empty scoped)
+    (merge_pending st.uw_out st.uw_nest)
     []
   |> in_path_order
 
 (* ------------------------------------------------------------------ *)
-(* V: Multiple writes made durable at once *)
+(* V: Multiple writes made durable at once
 
-let check_multiple_writes_at_once ctx scoped =
+   Strict: a fence must not batch the durability of updates to several
+   distinct objects. (A multi-field update of one object drained by a
+   single persist is the idiomatic atomic-object update and is not
+   flagged; writes with no flush at all belong to the unflushed-write
+   rule.) State: the current persist unit's writes and flushes by node.
+
+   Epoch and strand: a write of epoch E made durable only by a flush in
+   a later epoch E' > E batches the durability of the two epochs
+   together. State: pending writes by node and address. Epochs never
+   interleave, so the current epoch's writes wait in [cur] for a flush
+   of their own epoch; when the epoch is over, the survivors move to
+   [late], where the first later-epoch flush containing them decides
+   their warning. *)
+
+type multiple =
+  | Mw_strict of {
+      ws : Dsa.Aaddr.t list Imap.t;
+      fs : Dsa.Aaddr.t list Imap.t;
+      rev : Warning.t list;
+    }
+  | Mw_epoch of by_epoch
+
+and by_epoch = {
+  cur_epoch_of : int; (* the epoch of the latest event in one *)
+  cur : pending;
+  late : pending;
+  tagged : (int * Warning.t) list;
+}
+
+let multiple_start ctx =
   match ctx.model with
-  | Model.Strict ->
-    (* under strict persistency a fence must not batch the durability of
-       updates to several distinct objects. (A multi-field update of one
-       object drained by a single persist is the idiomatic atomic-object
-       update and is not flagged; writes with no flush at all belong to
-       the unflushed-write rule.) Forward pass; the current persist
-       unit's writes and flushes by node. *)
-    let durable_objects ws fs =
-      Imap.fold
-        (fun node written n ->
-          match Imap.find_opt node fs with
-          | Some flushed
-            when List.exists
-                   (fun a -> List.exists (Dsa.Aaddr.contained_in a) flushed)
-                   written ->
-            n + 1
-          | Some _ | None -> n)
-        ws 0
-    in
-    let rec scan ws fs acc = function
-      | [] -> List.rev acc
-      | s :: rest -> (
-        match s.ev.Event.kind with
-        | Event.Write a when s.tx_depth = 0 -> scan (add_addr ws a) fs acc rest
-        | Event.Flush (b, _) when s.tx_depth = 0 ->
-          scan ws (add_addr fs b) acc rest
-        | Event.Fence when s.tx_depth = 0 ->
-          let objects = durable_objects ws fs in
-          let acc =
-            if objects >= 2 then
+  | Model.Strict -> Mw_strict { ws = Imap.empty; fs = Imap.empty; rev = [] }
+  | Model.Epoch | Model.Strand ->
+    Mw_epoch
+      { cur_epoch_of = -1; cur = Imap.empty; late = Imap.empty; tagged = [] }
+
+let durable_objects ws fs =
+  Imap.fold
+    (fun node written n ->
+      match Imap.find_opt node fs with
+      | Some flushed
+        when List.exists
+               (fun a -> List.exists (Dsa.Aaddr.contained_in a) flushed)
+               written ->
+        n + 1
+      | Some _ | None -> n)
+    ws 0
+
+let multiple_step ctx st s =
+  match st with
+  | Mw_strict m -> (
+    match s.ev.Event.kind with
+    | Event.Write a when s.tx_depth = 0 ->
+      let ws = add_addr m.ws a in
+      if ws == m.ws then st else Mw_strict { m with ws }
+    | Event.Flush (b, _) when s.tx_depth = 0 ->
+      let fs = add_addr m.fs b in
+      if fs == m.fs then st else Mw_strict { m with fs }
+    | Event.Fence when s.tx_depth = 0 ->
+      let objects = durable_objects m.ws m.fs in
+      if objects >= 2 then
+        Mw_strict
+          {
+            ws = Imap.empty;
+            fs = Imap.empty;
+            rev =
               warn ctx Warning.Multiple_writes_at_once s
                 "updates to %d distinct persistent objects made durable by a \
                  single persist barrier; strict persistency requires one \
                  barrier per update"
                 objects
-              :: acc
-            else acc
-          in
-          scan Imap.empty Imap.empty acc rest
-        | _ -> scan ws fs acc rest)
+              :: m.rev;
+          }
+      else if Imap.is_empty m.ws && Imap.is_empty m.fs then st
+      else Mw_strict { m with ws = Imap.empty; fs = Imap.empty }
+    | _ -> st)
+  | Mw_epoch m0 -> (
+    let m =
+      if s.epoch >= 0 && s.epoch <> m0.cur_epoch_of then
+        {
+          m0 with
+          cur_epoch_of = s.epoch;
+          cur = Imap.empty;
+          late = merge_pending m0.late m0.cur;
+        }
+      else m0
     in
-    scan Imap.empty Imap.empty [] scoped
-  | Model.Epoch | Model.Strand ->
-    (* a write of epoch E made durable only by a flush in a later epoch
-       E' > E batches the durability of the two epochs together. Forward
-       pass; pending writes by node and address. Epochs never
-       interleave, so the current epoch's writes wait in [cur] for a
-       flush of their own epoch; when the epoch is over, the survivors
-       move to [late], where the first later-epoch flush containing them
-       decides their warning. *)
-    let late_warnings f acc (a, ss) =
-      List.fold_left
-        (fun acc s ->
-          ( s.idx,
-            warn ctx Warning.Multiple_writes_at_once f
-              "flush makes the epoch-%d write to %a durable together with \
-               epoch-%d data; epoch persistency requires it to persist at its \
-               own epoch boundary"
-              s.epoch Dsa.Aaddr.pp a f.epoch )
-          :: acc)
-        acc ss
-    in
-    let rec scan epoch cur late acc = function
-      | [] -> in_path_order acc
-      | s :: _ as path when s.epoch >= 0 && s.epoch <> epoch ->
-        scan s.epoch Imap.empty (merge_pending late cur) acc path
-      | s :: rest -> (
-        match s.ev.Event.kind with
-        | Event.Write a when s.epoch >= 0 && s.tx_id < 0 ->
-          scan epoch (add_pending cur a [ s ]) late acc rest
-        | Event.Flush (b, _) when s.epoch >= 0 ->
-          let covers a = Dsa.Aaddr.contained_in a b in
-          let _, cur = take cur b covers in
-          let decided, late = take late b covers in
-          let acc = List.fold_left (late_warnings s) acc decided in
-          scan epoch cur late acc rest
-        | _ -> scan epoch cur late acc rest)
-    in
-    scan (-1) Imap.empty Imap.empty [] scoped
-
-(* ------------------------------------------------------------------ *)
-(* V: Missing persist barriers *)
-
-let check_missing_persist_barrier ctx scoped =
-  match ctx.model with
-  | Model.Strict ->
-    (* after a flush, a fence must occur before new persistent work.
-       Forward pass; the flushes since the last fence, write, log or
-       transaction begin. Intermediate flushes are batched (V1's
-       domain), so they join the wait. *)
-    let rec scan flushes acc = function
-      | [] -> List.rev acc (* trace ends: nothing left to order *)
-      | s :: rest -> (
-        match s.ev.Event.kind with
-        | Event.Flush (a, _) -> scan ((s, a) :: flushes) acc rest
-        | Event.Fence -> scan [] acc rest
-        | Event.Write _ | Event.Log _ | Event.Tx_begin ->
-          let missing (f, a) =
-            warn ctx Warning.Missing_persist_barrier f
-              "flush of %a is not followed by a persist barrier before the \
-               next persistent operation (%a at %a)"
-              Dsa.Aaddr.pp a Event.pp_kind s.ev.Event.kind Nvmir.Loc.pp
-              s.ev.Event.loc
-          in
-          scan [] (List.map missing flushes @ acc) rest
-        | _ -> scan flushes acc rest)
-    in
-    scan [] [] scoped
-  | Model.Epoch | Model.Strand ->
-    (* a persist barrier must close every non-empty epoch. Only epochs
-       that issued flushes need a closing barrier; an epoch whose writes
-       were never flushed at all is the unflushed-write /
-       deferred-durability rules' domain. Forward pass; the closing
-       state of the current epoch and of the events outside any epoch
-       (an unmatched [Epoch_end] closes those). *)
-    let rec scan outside (id, inside) acc = function
-      | [] -> List.rev acc
-      | s :: rest ->
-        let c =
-          if s.epoch < 0 then outside
-          else if s.epoch = id then inside
-          else unfenced
+    let unchanged () = if m == m0 then st else Mw_epoch m in
+    match s.ev.Event.kind with
+    | Event.Write a when s.epoch >= 0 && s.tx_id < 0 ->
+      Mw_epoch { m with cur = add_pending m.cur a [ s ] }
+    | Event.Flush (b, _) when s.epoch >= 0 ->
+      let covers a = Dsa.Aaddr.contained_in a b in
+      let _, cur = take m.cur b covers in
+      let decided, late = take m.late b covers in
+      if cur == m.cur && late == m.late then unchanged ()
+      else
+        let tagged =
+          List.fold_left
+            (fun acc (a, ss) ->
+              List.fold_left
+                (fun acc w ->
+                  ( w.idx,
+                    warn ctx Warning.Multiple_writes_at_once s
+                      "flush makes the epoch-%d write to %a durable together \
+                       with epoch-%d data; epoch persistency requires it to \
+                       persist at its own epoch boundary"
+                      w.epoch Dsa.Aaddr.pp a s.epoch )
+                  :: acc)
+                acc ss)
+            m.tagged decided
         in
-        let acc =
-          match s.ev.Event.kind with
-          | Event.Epoch_end when unclosed c ->
-            warn ctx Warning.Missing_persist_barrier s
-              "epoch ends without a persist barrier; stores of the next \
-               epoch may persist before this epoch's stores"
-            :: acc
-          | _ -> acc
-        in
-        let c = step_closing c s in
-        if s.epoch < 0 then scan c (id, inside) acc rest
-        else scan outside (s.epoch, c) acc rest
-    in
-    scan unfenced (-1, unfenced) [] scoped
+        Mw_epoch { m with cur; late; tagged }
+    | _ -> unchanged ())
+
+let multiple_finish = function
+  | Mw_strict m -> List.rev m.rev
+  | Mw_epoch m -> in_path_order m.tagged
 
 (* ------------------------------------------------------------------ *)
-(* V: Missing persist barriers in nested transactions *)
+(* V: Missing persist barriers
 
-let check_missing_barrier_nested_tx ctx scoped =
+   Strict: after a flush, a fence must occur before new persistent
+   work. State: the flushes since the last fence, write, log or
+   transaction begin. Intermediate flushes are batched (V1's domain), so
+   they join the wait; at the path's end nothing is left to order.
+
+   Epoch and strand: a persist barrier must close every non-empty epoch.
+   Only epochs that issued flushes need a closing barrier; an epoch
+   whose writes were never flushed at all is the unflushed-write /
+   deferred-durability rules' domain. State: the closing state of the
+   current epoch and of the events outside any epoch (an unmatched
+   [Epoch_end] closes those). *)
+
+type barrier =
+  | Pb_strict of { flushes : (scoped * Dsa.Aaddr.t) list; rev : Warning.t list }
+  | Pb_epoch of {
+      outside : closing;
+      id : int;
+      inside : closing;
+      rev : Warning.t list;
+    }
+
+let barrier_start ctx =
   match ctx.model with
-  | Model.Strict -> []
+  | Model.Strict -> Pb_strict { flushes = []; rev = [] }
   | Model.Epoch | Model.Strand ->
-    (* Forward pass; the closing state of every open transaction, by
-       transaction id (an event counts for its innermost transaction
-       only). *)
-    let rec scan txs acc = function
-      | [] -> List.rev acc
-      | s :: rest when s.tx_id < 0 -> scan txs acc rest
-      | s :: rest -> (
-        let c = Option.value ~default:unfenced (Imap.find_opt s.tx_id txs) in
-        match s.ev.Event.kind with
-        | Event.Tx_end ->
-          let acc =
-            if s.tx_depth >= 2 && unclosed c then
-              warn ctx Warning.Missing_barrier_nested_tx s
-                "inner transaction ends without a persist barrier; its \
-                 writes are not guaranteed durable before the outer \
-                 transaction continues"
-              :: acc
-            else acc
-          in
-          scan (Imap.remove s.tx_id txs) acc rest
-        | Event.Write _ | Event.Flush _ | Event.Fence ->
-          scan (Imap.add s.tx_id (step_closing c s) txs) acc rest
-        | _ -> scan txs acc rest)
+    Pb_epoch { outside = unfenced; id = -1; inside = unfenced; rev = [] }
+
+let barrier_step ctx st s =
+  match st with
+  | Pb_strict m -> (
+    match s.ev.Event.kind with
+    | Event.Flush (a, _) -> Pb_strict { m with flushes = (s, a) :: m.flushes }
+    | Event.Fence ->
+      if m.flushes = [] then st else Pb_strict { m with flushes = [] }
+    | Event.Write _ | Event.Log _ | Event.Tx_begin ->
+      if m.flushes = [] then st
+      else
+        let missing (f, a) =
+          warn ctx Warning.Missing_persist_barrier f
+            "flush of %a is not followed by a persist barrier before the next \
+             persistent operation (%a at %a)"
+            Dsa.Aaddr.pp a Event.pp_kind s.ev.Event.kind Nvmir.Loc.pp
+            s.ev.Event.loc
+        in
+        Pb_strict { flushes = []; rev = List.map missing m.flushes @ m.rev }
+    | _ -> st)
+  | Pb_epoch m ->
+    let c =
+      if s.epoch < 0 then m.outside
+      else if s.epoch = m.id then m.inside
+      else unfenced
     in
-    scan Imap.empty [] scoped
+    let rev =
+      match s.ev.Event.kind with
+      | Event.Epoch_end when unclosed c ->
+        warn ctx Warning.Missing_persist_barrier s
+          "epoch ends without a persist barrier; stores of the next epoch may \
+           persist before this epoch's stores"
+        :: m.rev
+      | _ -> m.rev
+    in
+    let c' = step_closing c s in
+    if s.epoch < 0 then
+      if c' == m.outside && rev == m.rev then st
+      else Pb_epoch { m with outside = c'; rev }
+    else if s.epoch = m.id && c' == m.inside && rev == m.rev then st
+    else Pb_epoch { m with id = s.epoch; inside = c'; rev }
+
+let barrier_finish = function
+  | Pb_strict m -> List.rev m.rev
+  | Pb_epoch m -> List.rev m.rev
 
 (* ------------------------------------------------------------------ *)
-(* V: Mismatch between program semantics and model implementation *)
+(* V: Missing persist barriers in nested transactions (epoch and strand
+   models). State: the closing state of every open transaction, by
+   transaction id (an event counts for its innermost transaction
+   only). *)
+
+type nested =
+  | Nt_off
+  | Nt_on of { txs : closing Imap.t; rev : Warning.t list }
+
+let nested_start ctx =
+  match ctx.model with
+  | Model.Strict -> Nt_off
+  | Model.Epoch | Model.Strand -> Nt_on { txs = Imap.empty; rev = [] }
+
+let nested_step ctx st s =
+  match st with
+  | Nt_off -> st
+  | Nt_on _ when s.tx_id < 0 -> st
+  | Nt_on m -> (
+    let c = Option.value ~default:unfenced (Imap.find_opt s.tx_id m.txs) in
+    match s.ev.Event.kind with
+    | Event.Tx_end ->
+      let rev =
+        if s.tx_depth >= 2 && unclosed c then
+          warn ctx Warning.Missing_barrier_nested_tx s
+            "inner transaction ends without a persist barrier; its writes are \
+             not guaranteed durable before the outer transaction continues"
+          :: m.rev
+        else m.rev
+      in
+      Nt_on { txs = Imap.remove s.tx_id m.txs; rev }
+    | Event.Write _ | Event.Flush _ | Event.Fence ->
+      let c' = step_closing c s in
+      if c' == c && Imap.mem s.tx_id m.txs then st
+      else Nt_on { m with txs = Imap.add s.tx_id c' m.txs }
+    | _ -> st)
+
+let nested_finish = function Nt_off -> [] | Nt_on m -> List.rev m.rev
+
+(* ------------------------------------------------------------------ *)
+(* V: Mismatch between program semantics and model implementation
+
+   Consecutive persist units (epochs under the epoch model when the path
+   marks epochs, fence-delimited units otherwise) writing to different
+   parts of the same persistent object indicate that a logically-atomic
+   update was split across durability boundaries — the Figure 1 hashmap
+   pattern. Updates under transaction protection are exempt (the
+   transaction restores atomicity).
+
+   State: the current unit's writes and the first write of each of its
+   addresses by node, and the previous unit's flushed first writes by
+   node. Units never interleave, so a unit is judged against its
+   predecessor as soon as it is over. A later write to the same address
+   can only pair where the first one does, and always after it, so the
+   first writes decide every pair.
+
+   Which units count depends on the whole path: under the epoch and
+   strand models a path with an [Epoch_begin] is judged by epochs. Before
+   a path's first [Epoch_begin] every event lies outside any epoch,
+   which leaves the epoch view at its start, so the state follows the
+   unit view until the first [Epoch_begin] and the epoch view from
+   there; [finish] sees the view the whole path asks for. *)
 
 (* The first write to one address in the current persist unit, and
    whether a later flush of the same unit covered it. *)
-type first_write = { first : scoped; mutable flushed_in_unit : bool }
+type first_write = { first : scoped; flushed_in_unit : bool }
 
-(* Consecutive persist units (epochs under the epoch model, fence-
-   delimited units otherwise) writing to different parts of the same
-   persistent object indicate that a logically-atomic update was split
-   across durability boundaries — the Figure 1 hashmap pattern. Updates
-   under transaction protection are exempt (the transaction restores
-   atomicity).
+type units = {
+  prev_u : int;
+  prev : (Dsa.Aaddr.t * scoped) list Imap.t;
+  u : int;
+  firsts : (Dsa.Aaddr.t * first_write) list Imap.t;
+  ws : (scoped * Dsa.Aaddr.t) list; (* the unit's writes, reversed *)
+  rev : Warning.t list;
+}
 
-   Forward pass; the current unit's writes and the first write of each
-   of its addresses by node, and the previous unit's flushed first
-   writes by node. Units never interleave, so a unit is judged against
-   its predecessor as soon as it is over. A later write to the same
-   address can only pair where the first one does, and always after
-   it, so the first writes decide every pair. *)
-let check_semantic_mismatch ctx scoped =
-  let marked =
-    match ctx.model with
-    | Model.Epoch | Model.Strand -> has_marked_epochs scoped
-    | Model.Strict -> false
-  in
-  let unit_of s = if marked then s.epoch else s.unit_ in
-  (* the writes of unit [u] ([ws], reversed) against [prev], the first
-     writes of unit [prev_u] persisted within their own unit — otherwise
-     the pair is a deferred-durability case handled by the
-     multiple-writes-at-once rule *)
-  let judge ~prev_u ~prev ~u ~firsts ws acc =
-    if prev_u < 0 || prev_u + 1 <> u then acc
+type mismatch = { by_epoch : bool; view : units }
+
+let units_start =
+  { prev_u = -1; prev = Imap.empty; u = -1; firsts = Imap.empty; ws = []; rev = [] }
+
+let mismatch_start = { by_epoch = false; view = units_start }
+
+(* The writes of unit [v.u] against [v.prev], the first writes of unit
+   [v.prev_u] persisted within their own unit — otherwise the pair is a
+   deferred-durability case handled by the multiple-writes-at-once
+   rule. *)
+let judge ctx v =
+  if v.prev_u < 0 || v.prev_u + 1 <> v.u then v.rev
+  else
+    (* repeated-protocol exemption: when the later unit also re-writes
+       the earlier unit's address, the units are iterations of one
+       update protocol (log appends, queue publishes in a loop), not a
+       split atomic update *)
+    let rewritten (a1, _) =
+      List.exists (fun (a, _) -> Dsa.Aaddr.may_overlap a a1) (on_node v.firsts a1)
+    in
+    let prev =
+      Imap.filter_map
+        (fun _ l ->
+          match List.filter (fun e -> not (rewritten e)) l with
+          | [] -> None
+          | l -> Some l)
+        v.prev
+    in
+    if Imap.is_empty prev then v.rev
     else
-      (* repeated-protocol exemption: when the later unit also re-writes
-         the earlier unit's address, the units are iterations of one
-         update protocol (log appends, queue publishes in a loop), not a
-         split atomic update *)
-      let rewritten (a1, _) =
-        List.exists
-          (fun (a, _) -> Dsa.Aaddr.may_overlap a a1)
-          (on_node firsts a1)
+      List.fold_left
+        (fun acc (s2, a2) ->
+          let prior =
+            List.fold_left
+              (fun best ((a1, s1) as e) ->
+                if Dsa.Aaddr.may_overlap a1 a2 then best
+                else
+                  match best with
+                  | Some (_, b) when b.idx < s1.idx -> best
+                  | Some _ | None -> Some e)
+              None (on_node prev a2)
+          in
+          match prior with
+          | Some (a1, s1) ->
+            warn ctx Warning.Semantic_mismatch s2
+              "consecutive persist units update different parts of the same \
+               persistent object (%a here, %a at %a); a crash between them \
+               leaves the object half-updated"
+              Dsa.Aaddr.pp a2 Dsa.Aaddr.pp a1 Nvmir.Loc.pp s1.ev.Event.loc
+            :: acc
+          | None -> acc)
+        v.rev (List.rev v.ws)
+
+let persisted firsts =
+  Imap.filter_map
+    (fun _ l ->
+      match
+        List.filter_map
+          (fun (a, fw) -> if fw.flushed_in_unit then Some (a, fw.first) else None)
+          l
+      with
+      | [] -> None
+      | l -> Some l)
+    firsts
+
+let units_step ctx ~by_epoch v s =
+  let unit_of s = if by_epoch then s.epoch else s.unit_ in
+  let v =
+    let u = unit_of s in
+    if u >= 0 && u <> v.u then
+      {
+        prev_u = v.u;
+        prev = persisted v.firsts;
+        u;
+        firsts = Imap.empty;
+        ws = [];
+        rev = judge ctx v;
+      }
+    else v
+  in
+  match s.ev.Event.kind with
+  | Event.Write a when s.tx_depth = 0 && ((not by_epoch) || s.epoch >= 0) ->
+    let firsts =
+      if List.exists (fun (a', _) -> same_addr a' a) (on_node v.firsts a) then
+        v.firsts
+      else update v.firsts a (fun _ -> { first = s; flushed_in_unit = false })
+    in
+    { v with firsts; ws = (s, a) :: v.ws }
+  | Event.Flush (b, _) when unit_of s >= 0 ->
+    let newly (a, fw) =
+      (not fw.flushed_in_unit) && Dsa.Aaddr.contained_in a b
+    in
+    let l = on_node v.firsts b in
+    if List.exists newly l then
+      let mark ((a, fw) as e) =
+        if newly e then (a, { fw with flushed_in_unit = true }) else e
       in
-      let prev =
-        Imap.filter_map
-          (fun _ l ->
-            match List.filter (fun e -> not (rewritten e)) l with
-            | [] -> None
-            | l -> Some l)
-          prev
-      in
-      if Imap.is_empty prev then acc
-      else
-        List.fold_left
-          (fun acc (s2, a2) ->
-            let prior =
-              List.fold_left
-                (fun best ((a1, s1) as e) ->
-                  if Dsa.Aaddr.may_overlap a1 a2 then best
-                  else
-                    match best with
-                    | Some (_, b) when b.idx < s1.idx -> best
-                    | Some _ | None -> Some e)
-                None (on_node prev a2)
-            in
-            match prior with
-            | Some (a1, s1) ->
-              warn ctx Warning.Semantic_mismatch s2
-                "consecutive persist units update different parts of the \
-                 same persistent object (%a here, %a at %a); a crash between \
-                 them leaves the object half-updated"
-                Dsa.Aaddr.pp a2 Dsa.Aaddr.pp a1 Nvmir.Loc.pp s1.ev.Event.loc
-              :: acc
-            | None -> acc)
-          acc (List.rev ws)
+      { v with firsts = set_node v.firsts b (List.map mark l) }
+    else v
+  | _ -> v
+
+let mismatch_step ctx st s =
+  let st =
+    match (ctx.model, s.ev.Event.kind) with
+    | (Model.Epoch | Model.Strand), Event.Epoch_begin when not st.by_epoch ->
+      { by_epoch = true; view = units_start }
+    | _ -> st
   in
-  let persisted firsts =
-    Imap.filter_map
-      (fun _ l ->
-        match
-          List.filter_map
-            (fun (a, fw) ->
-              if fw.flushed_in_unit then Some (a, fw.first) else None)
-            l
-        with
-        | [] -> None
-        | l -> Some l)
-      firsts
-  in
-  let rec scan ~prev_u ~prev ~u ~firsts ws acc = function
-    | [] -> List.rev (judge ~prev_u ~prev ~u ~firsts ws acc)
-    | s :: _ as path when unit_of s >= 0 && unit_of s <> u ->
-      let acc = judge ~prev_u ~prev ~u ~firsts ws acc in
-      scan ~prev_u:u ~prev:(persisted firsts) ~u:(unit_of s) ~firsts:Imap.empty
-        [] acc path
-    | s :: rest -> (
-      match s.ev.Event.kind with
-      | Event.Write a when s.tx_depth = 0 && ((not marked) || s.epoch >= 0) ->
-        let firsts =
-          update firsts a (function
-            | Some fw -> fw
-            | None -> { first = s; flushed_in_unit = false })
-        in
-        scan ~prev_u ~prev ~u ~firsts ((s, a) :: ws) acc rest
-      | Event.Flush (b, _) when unit_of s >= 0 ->
-        List.iter
-          (fun (a, fw) ->
-            if Dsa.Aaddr.contained_in a b then fw.flushed_in_unit <- true)
-          (on_node firsts b);
-        scan ~prev_u ~prev ~u ~firsts ws acc rest
-      | _ -> scan ~prev_u ~prev ~u ~firsts ws acc rest)
-  in
-  scan ~prev_u:(-1) ~prev:Imap.empty ~u:(-1) ~firsts:Imap.empty [] [] scoped
+  let view = units_step ctx ~by_epoch:st.by_epoch st.view s in
+  if view == st.view then st else { st with view }
+
+let mismatch_finish ctx st = List.rev (judge ctx st.view)
 
 (* ------------------------------------------------------------------ *)
-(* V: Data dependencies between strands (static over-approximation) *)
+(* V: Data dependencies between strands (static over-approximation,
+   strand model)
+
+   Strand regions separated by a persist barrier are ordered; regions
+   with no barrier between them may persist concurrently and must
+   therefore touch disjoint addresses (Table 4, strand row). State: the
+   open region's latest write per address by node, and the regions
+   already over. A region is over when it ends or the next one begins;
+   it is then checked against every earlier region, and the warnings
+   come out by pair of regions in begin order. *)
 
 type strand_region = {
+  sr_ord : int; (* begin order on the path *)
   sr_id : int;
   sr_begin_unit : int; (* fence-delimited unit at strand begin *)
-  mutable sr_end_unit : int;
-  mutable sr_writes : (Dsa.Aaddr.t * scoped) list Imap.t;
+  sr_end_unit : int;
+  sr_writes : (Dsa.Aaddr.t * scoped) list Imap.t;
       (* the latest write to each distinct address, by node *)
 }
 
-(* Strand regions separated by a persist barrier are ordered; regions
-   with no barrier between them may persist concurrently and must
-   therefore touch disjoint addresses (Table 4, strand row). Forward
-   pass; each region's latest write per address by node, then one check
-   per pair of concurrent regions. *)
-let check_strand_dependence ctx scoped =
+type strands =
+  | Sd_off
+  | Sd_on of {
+      over : strand_region list; (* latest first *)
+      open_ : strand_region option;
+      begun : int;
+      tagged : ((int * int) * Warning.t) list;
+    }
+
+let strands_start ctx =
   match ctx.model with
-  | Model.Strict | Model.Epoch -> []
-  | Model.Strand ->
-    let regions = ref [] in
-    let open_region = ref None in
-    List.iter
-      (fun s ->
-        match s.ev.Event.kind with
-        | Event.Strand_begin n ->
-          let r =
-            {
-              sr_id = n;
-              sr_begin_unit = s.unit_;
-              sr_end_unit = s.unit_;
-              sr_writes = Imap.empty;
-            }
-          in
-          open_region := Some r;
-          regions := r :: !regions
-        | Event.Strand_end _ -> (
-          match !open_region with
-          | Some r ->
-            r.sr_end_unit <- s.unit_;
-            open_region := None
-          | None -> ())
-        | Event.Write a -> (
-          match !open_region with
-          | Some r -> r.sr_writes <- update r.sr_writes a (fun _ -> s)
-          | None -> ())
-        | _ -> ())
-      scoped;
-    let regions = List.rev !regions in
-    let concurrent r1 r2 =
-      r1.sr_id <> r2.sr_id
-      && not (r2.sr_begin_unit > r1.sr_end_unit || r1.sr_begin_unit > r2.sr_end_unit)
-    in
-    (* the latest write of [r2] to an address [r1] may also write *)
-    let shared r1 r2 =
-      Imap.fold
-        (fun node w2 best ->
-          match Imap.find_opt node r1.sr_writes with
-          | None -> best
-          | Some w1 ->
-            List.fold_left
-              (fun best ((a2, s2) as e) ->
-                if
-                  (match best with Some (_, b) -> s2.idx > b.idx | None -> true)
-                  && List.exists (fun (a1, _) -> Dsa.Aaddr.may_overlap a1 a2) w1
-                then Some e
-                else best)
-              best w2)
-        r2.sr_writes None
-    in
-    let rec pairs = function
-      | [] -> []
-      | r :: rest -> List.map (fun r' -> (r, r')) rest @ pairs rest
-    in
-    List.filter_map
-      (fun (r1, r2) ->
-        if not (concurrent r1 r2) then None
+  | Model.Strict | Model.Epoch -> Sd_off
+  | Model.Strand -> Sd_on { over = []; open_ = None; begun = 0; tagged = [] }
+
+(* The latest write of [r2] to an address [r1] may also write. *)
+let shared r1 r2 =
+  Imap.fold
+    (fun node w2 best ->
+      match Imap.find_opt node r1.sr_writes with
+      | None -> best
+      | Some w1 ->
+        List.fold_left
+          (fun best ((a2, s2) as e) ->
+            if
+              (match best with Some (_, b) -> s2.idx > b.idx | None -> true)
+              && List.exists (fun (a1, _) -> Dsa.Aaddr.may_overlap a1 a2) w1
+            then Some e
+            else best)
+          best w2)
+    r2.sr_writes None
+
+(* Region [r] is over: check it against every earlier region. *)
+let region_over ctx over tagged r =
+  let concurrent r1 =
+    r1.sr_id <> r.sr_id
+    && not (r.sr_begin_unit > r1.sr_end_unit || r1.sr_begin_unit > r.sr_end_unit)
+  in
+  let tagged =
+    List.fold_left
+      (fun tagged r1 ->
+        if not (concurrent r1) then tagged
         else
-          Option.map
-            (fun (a2, s2) ->
+          match shared r1 r with
+          | None -> tagged
+          | Some (a2, s2) ->
+            ( (r1.sr_ord, r.sr_ord),
               warn ctx Warning.Strand_dependence s2
                 "strands %d and %d both write %a; dependent strands must not \
                  persist concurrently"
-                r1.sr_id r2.sr_id Dsa.Aaddr.pp a2)
-            (shared r1 r2))
-      (pairs regions)
+                r1.sr_id r.sr_id Dsa.Aaddr.pp a2 )
+            :: tagged)
+      tagged over
+  in
+  (r :: over, tagged)
+
+let strands_step ctx st s =
+  match st with
+  | Sd_off -> st
+  | Sd_on m -> (
+    match (s.ev.Event.kind, m.open_) with
+    | Event.Strand_begin n, _ ->
+      let over, tagged =
+        match m.open_ with
+        | Some r -> region_over ctx m.over m.tagged r
+        | None -> (m.over, m.tagged)
+      in
+      let r =
+        {
+          sr_ord = m.begun;
+          sr_id = n;
+          sr_begin_unit = s.unit_;
+          sr_end_unit = s.unit_;
+          sr_writes = Imap.empty;
+        }
+      in
+      Sd_on { over; open_ = Some r; begun = m.begun + 1; tagged }
+    | Event.Strand_end _, Some r ->
+      let over, tagged =
+        region_over ctx m.over m.tagged { r with sr_end_unit = s.unit_ }
+      in
+      Sd_on { m with over; open_ = None; tagged }
+    | Event.Write a, Some r ->
+      Sd_on
+        { m with open_ = Some { r with sr_writes = update r.sr_writes a (fun _ -> s) } }
+    | _ -> st)
+
+let strands_finish ctx = function
+  | Sd_off -> []
+  | Sd_on m ->
+    let tagged =
+      match m.open_ with
+      | Some r -> snd (region_over ctx m.over m.tagged r)
+      | None -> m.tagged
+    in
+    List.map snd (List.sort (fun (p, _) (q, _) -> compare p q) tagged)
 
 (* ------------------------------------------------------------------ *)
-(* P: flush-coverage rules (Table 5), one stateful scan:
+(* P: flush-coverage rules (Table 5), one machine:
    - multiple flushes to a persistent object (redundant write-backs)
    - flush an unmodified object / unmodified fields
    - persist the same object multiple times in a transaction
    - durable transaction without persistent writes
 
-   Forward pass; dirty and clean addresses by node, and a stack of open
+   State: dirty and clean addresses by node, and a stack of open
    transactions, each with its persisted addresses by node. A
    whole-object log is judged on the writes that follow it in its
    transaction, so its warning keeps its place in the output and is
-   decided when the transaction closes. *)
+   decided when the transaction closes (or the path ends). *)
 
 (* Writes to a node that has a whole-object log in the transaction: the
    index of the latest whole-object write and of the latest write to
    each field. *)
-type node_writes = {
-  mutable whole_at : int;
-  mutable field_at : (string * int) list;
-}
+type node_writes = { whole_at : int; field_at : (string * int) list }
 
-(* A whole-object log of a struct with [wl_fields] fields, and the place
-   its warning takes in the output. *)
-type whole_log = {
-  wl_at : scoped;
-  wl_node : int;
-  wl_fields : int;
-  wl_slot : Warning.t option ref;
-}
+(* A whole-object log of a struct with [wl_fields] fields; its warning's
+   place in the output is keyed by the log's index. *)
+type whole_log = { wl_at : scoped; wl_node : int; wl_fields : int }
 
 type tx_state = {
   begin_event : scoped;
-  mutable written : bool;
-  mutable persisted : Dsa.Aaddr.t list Imap.t; (* logged or flushed here *)
-  mutable whole_logs : whole_log list;
-  mutable logged_nodes : node_writes Imap.t; (* the nodes of [whole_logs] *)
+  written : bool;
+  persisted : Dsa.Aaddr.t list Imap.t; (* logged or flushed here *)
+  whole_logs : whole_log list;
+  logged_nodes : node_writes Imap.t; (* the nodes of [whole_logs] *)
 }
 
-type emitted = Now of Warning.t | Deferred of Warning.t option ref
+type emitted = Now of Warning.t | Deferred of int
+
+type coverage = {
+  out : emitted list; (* reversed *)
+  dirty : Dsa.Aaddr.t list Imap.t; (* written, not yet flushed *)
+  clean : Dsa.Aaddr.t list Imap.t; (* flushed since last overlapping write *)
+  txs : tx_state list; (* innermost first *)
+  decided : Warning.t Imap.t; (* whole-log warnings, by log index *)
+}
+
+let coverage_start =
+  { out = []; dirty = Imap.empty; clean = Imap.empty; txs = []; decided = Imap.empty }
 
 let distinct_fields addrs =
   List.sort_uniq compare
     (List.filter_map (fun (a : Dsa.Aaddr.t) -> a.Dsa.Aaddr.field) addrs)
 
-let check_flush_coverage ctx scoped =
-  let out = ref [] in
-  let push w = out := Now w :: !out in
-  let dirty = ref Imap.empty in (* written, not yet flushed *)
-  let clean = ref Imap.empty in (* flushed since last overlapping write *)
-  let tx_stack = ref [] in
-  let overlaps m b =
-    List.exists (fun f -> Dsa.Aaddr.may_overlap f b) (on_node m b)
+let overlaps m b = List.exists (fun f -> Dsa.Aaddr.may_overlap f b) (on_node m b)
+
+(* Logging a whole object whose fields are mostly untouched copies
+   unmodified data into the undo log: decided when [tx] closes. *)
+let judge_whole_logs ctx decided tx =
+  List.fold_left
+    (fun decided l ->
+      let nw = Imap.find l.wl_node tx.logged_nodes in
+      let written =
+        List.length (List.filter (fun (_, at) -> at > l.wl_at.idx) nw.field_at)
+      in
+      match written with
+      | 0 -> decided
+      | _ when nw.whole_at > l.wl_at.idx -> decided
+      | _ when written < l.wl_fields ->
+        Imap.add l.wl_at.idx
+          (warn ctx Warning.Flush_unmodified l.wl_at
+             "whole object logged but only %d of %d fields are modified in \
+              the transaction; unmodified fields are copied to the undo log"
+             written l.wl_fields)
+          decided
+      | _ -> decided)
+    decided tx.whole_logs
+
+let coverage_write st s (a : Dsa.Aaddr.t) =
+  let clean =
+    match on_node st.clean a with
+    | [] -> st.clean
+    | l -> (
+      match List.filter (fun f -> not (Dsa.Aaddr.may_overlap f a)) l with
+      | kept when List.length kept = List.length l -> st.clean
+      | kept -> set_node st.clean a kept)
   in
-  (* logging a whole object whose fields are mostly untouched copies
-     unmodified data into the undo log; judged when [tx] closes *)
-  let note_whole_log tx s node =
-    match field_count ctx node with
-    | Some nfields when nfields > 1 ->
-      let slot = ref None in
-      out := Deferred slot :: !out;
-      tx.whole_logs <-
-        { wl_at = s; wl_node = node; wl_fields = nfields; wl_slot = slot }
-        :: tx.whole_logs;
-      if not (Imap.mem node tx.logged_nodes) then
-        tx.logged_nodes <-
-          Imap.add node { whole_at = -1; field_at = [] } tx.logged_nodes
-    | Some _ | None -> ()
+  let note tx =
+    let logged = Imap.find_opt a.Dsa.Aaddr.node tx.logged_nodes in
+    if tx.written && logged = None then tx
+    else
+      let logged_nodes =
+        match logged with
+        | None -> tx.logged_nodes
+        | Some nw ->
+          let nw =
+            match a.Dsa.Aaddr.field with
+            | None -> { nw with whole_at = s.idx }
+            | Some f ->
+              { nw with field_at = (f, s.idx) :: List.remove_assoc f nw.field_at }
+          in
+          Imap.add a.Dsa.Aaddr.node nw tx.logged_nodes
+      in
+      { tx with written = true; logged_nodes }
   in
-  let judge_whole_logs tx =
-    List.iter
-      (fun l ->
-        let nw = Imap.find l.wl_node tx.logged_nodes in
-        let written =
-          List.length
-            (List.filter (fun (_, at) -> at > l.wl_at.idx) nw.field_at)
-        in
-        match written with
-        | 0 -> ()
-        | _ when nw.whole_at > l.wl_at.idx -> ()
-        | _ when written < l.wl_fields ->
-          l.wl_slot :=
-            Some
-              (warn ctx Warning.Flush_unmodified l.wl_at
-                 "whole object logged but only %d of %d fields are modified in \
-                  the transaction; unmodified fields are copied to the undo log"
-                 written l.wl_fields)
-        | _ -> ())
-      tx.whole_logs
+  { st with dirty = add_addr st.dirty a; clean; txs = map_same note st.txs }
+
+let coverage_log ctx st s (b : Dsa.Aaddr.t) =
+  match st.txs with
+  | [] -> st
+  | tx :: outer ->
+    let out =
+      if overlaps tx.persisted b then
+        Now
+          (warn ctx Warning.Persist_same_object_in_tx s
+             "%a is logged into the transaction more than once" Dsa.Aaddr.pp b)
+        :: st.out
+      else st.out
+    in
+    let tx = { tx with persisted = add_addr tx.persisted b } in
+    let node = b.Dsa.Aaddr.node in
+    let out, tx =
+      match b.Dsa.Aaddr.field with
+      | Some _ -> (out, tx)
+      | None -> (
+        match field_count ctx node with
+        | Some nfields when nfields > 1 ->
+          ( Deferred s.idx :: out,
+            {
+              tx with
+              whole_logs =
+                { wl_at = s; wl_node = node; wl_fields = nfields } :: tx.whole_logs;
+              logged_nodes =
+                (if Imap.mem node tx.logged_nodes then tx.logged_nodes
+                 else
+                   Imap.add node { whole_at = -1; field_at = [] } tx.logged_nodes);
+            } )
+        | Some _ | None -> (out, tx))
+    in
+    { st with out; txs = tx :: outer }
+
+let coverage_flush ctx st s (b : Dsa.Aaddr.t) origin =
+  let covered =
+    List.filter (fun w -> Dsa.Aaddr.may_overlap w b) (on_node st.dirty b)
   in
-  let handle_redundant s (b : Dsa.Aaddr.t) ~covered =
-    if overlaps !clean b && covered = [] then begin
-      (match !tx_stack with
+  let out = st.out in
+  let redundant = covered = [] && overlaps st.clean b in
+  let out =
+    if not redundant then out
+    else
+      match st.txs with
       | tx :: _ when overlaps tx.persisted b ->
-        push
+        Now
           (warn ctx Warning.Persist_same_object_in_tx s
              "%a is persisted again within the same transaction without an \
               intervening modification"
              Dsa.Aaddr.pp b)
+        :: out
       | _ ->
-        push
+        Now
           (warn ctx Warning.Multiple_flushes s
              "redundant write-back: %a was already flushed and not modified \
               since"
-             Dsa.Aaddr.pp b));
-      true
-    end
-    else false
+             Dsa.Aaddr.pp b)
+        :: out
   in
-  List.iter
-    (fun s ->
-      match s.ev.Event.kind with
-      | Event.Write a ->
-        dirty := add_addr !dirty a;
-        (match on_node !clean a with
-        | [] -> ()
-        | l ->
-          clean :=
-            set_node !clean a
-              (List.filter (fun f -> not (Dsa.Aaddr.may_overlap f a)) l));
-        List.iter
-          (fun tx ->
-            tx.written <- true;
-            match Imap.find_opt a.Dsa.Aaddr.node tx.logged_nodes with
-            | None -> ()
-            | Some nw -> (
-              match a.Dsa.Aaddr.field with
-              | None -> nw.whole_at <- s.idx
-              | Some f ->
-                nw.field_at <- (f, s.idx) :: List.remove_assoc f nw.field_at))
-          !tx_stack
-      | Event.Log b -> (
-        match !tx_stack with
-        | [] -> ()
-        | tx :: _ -> (
-          if overlaps tx.persisted b then
-            push
-              (warn ctx Warning.Persist_same_object_in_tx s
-                 "%a is logged into the transaction more than once"
-                 Dsa.Aaddr.pp b);
-          tx.persisted <- add_addr tx.persisted b;
-          if b.Dsa.Aaddr.field = None then
-            note_whole_log tx s b.Dsa.Aaddr.node))
-      | Event.Flush (b, origin) -> (
-        let covered =
-          List.filter (fun w -> Dsa.Aaddr.may_overlap w b) (on_node !dirty b)
+  let out =
+    if redundant || covered <> [] then out
+    else
+      match origin with
+      | Event.From_persist ->
+        Now
+          (warn ctx Warning.Durable_tx_no_writes s
+             "durable operation persists %a but no persistent write precedes \
+              it on this path"
+             Dsa.Aaddr.pp b)
+        :: out
+      | Event.Plain ->
+        Now
+          (warn ctx Warning.Flush_unmodified s
+             "flush of %a without any preceding modification writes back \
+              unmodified data"
+             Dsa.Aaddr.pp b)
+        :: out
+  in
+  (* whole-object flush covering only some written fields *)
+  let out =
+    if covered = [] || b.Dsa.Aaddr.field <> None then out
+    else
+      match field_count ctx b.Dsa.Aaddr.node with
+      | Some nfields when nfields > 1 ->
+        let whole_obj_write =
+          List.exists (fun (a : Dsa.Aaddr.t) -> a.Dsa.Aaddr.field = None) covered
         in
-        let redundant = handle_redundant s b ~covered in
-        (if (not redundant) && covered = [] then
-           match origin with
-           | Event.From_persist ->
-             push
-               (warn ctx Warning.Durable_tx_no_writes s
-                  "durable operation persists %a but no persistent write \
-                   precedes it on this path"
-                  Dsa.Aaddr.pp b)
-           | Event.Plain ->
-             push
-               (warn ctx Warning.Flush_unmodified s
-                  "flush of %a without any preceding modification writes \
-                   back unmodified data"
-                  Dsa.Aaddr.pp b));
-        (* whole-object flush covering only some written fields *)
-        (if covered <> [] && b.Dsa.Aaddr.field = None then
-           match field_count ctx b.Dsa.Aaddr.node with
-           | Some nfields when nfields > 1 ->
-             let whole_obj_write =
-               List.exists (fun (a : Dsa.Aaddr.t) -> a.Dsa.Aaddr.field = None) covered
-             in
-             let written = distinct_fields covered in
-             if (not whole_obj_write) && List.length written < nfields then
-               push
-                 (warn ctx Warning.Flush_unmodified s
-                    "whole object flushed while only %d of %d fields were \
-                     modified; unmodified fields are written back"
-                    (List.length written) nfields)
-           | Some _ | None -> ());
-        (* record transaction-scoped persists *)
-        (match !tx_stack with
-        | tx :: _ -> tx.persisted <- add_addr tx.persisted b
-        | [] -> ());
-        clean := add_addr !clean b;
-        dirty :=
-          set_node !dirty b
-            (List.filter
-               (fun w -> not (Dsa.Aaddr.contained_in w b))
-               (on_node !dirty b)))
-      | Event.Tx_begin ->
-        tx_stack :=
-          {
-            begin_event = s;
-            written = false;
-            persisted = Imap.empty;
-            whole_logs = [];
-            logged_nodes = Imap.empty;
-          }
-          :: !tx_stack
-      | Event.Tx_end -> (
-        match !tx_stack with
-        | [] -> ()
-        | tx :: rest ->
-          tx_stack := rest;
-          if not tx.written then
-            push
-              (warn ctx Warning.Durable_tx_no_writes tx.begin_event
-                 "durable transaction commits without any persistent write");
-          judge_whole_logs tx)
-      | Event.Fence | Event.Epoch_begin | Event.Epoch_end
-      | Event.Strand_begin _ | Event.Strand_end _ | Event.Call_mark _
-      | Event.Ret_mark _ -> ())
-    scoped;
-  List.iter judge_whole_logs !tx_stack;
-  List.rev !out
-  |> List.filter_map (function Now w -> Some w | Deferred slot -> !slot)
+        let written = distinct_fields covered in
+        if (not whole_obj_write) && List.length written < nfields then
+          Now
+            (warn ctx Warning.Flush_unmodified s
+               "whole object flushed while only %d of %d fields were \
+                modified; unmodified fields are written back"
+               (List.length written) nfields)
+          :: out
+        else out
+      | Some _ | None -> out
+  in
+  (* record transaction-scoped persists *)
+  let txs =
+    match st.txs with
+    | tx :: outer ->
+      let persisted = add_addr tx.persisted b in
+      if persisted == tx.persisted then st.txs else { tx with persisted } :: outer
+    | [] -> st.txs
+  in
+  let dirty =
+    match on_node st.dirty b with
+    | [] -> st.dirty
+    | l -> (
+      match List.filter (fun w -> not (Dsa.Aaddr.contained_in w b)) l with
+      | kept when List.length kept = List.length l -> st.dirty
+      | kept -> set_node st.dirty b kept)
+  in
+  { st with out; txs; clean = add_addr st.clean b; dirty }
+
+let coverage_step ctx st s =
+  match s.ev.Event.kind with
+  | Event.Write a -> coverage_write st s a
+  | Event.Log b -> coverage_log ctx st s b
+  | Event.Flush (b, origin) -> coverage_flush ctx st s b origin
+  | Event.Tx_begin ->
+    {
+      st with
+      txs =
+        {
+          begin_event = s;
+          written = false;
+          persisted = Imap.empty;
+          whole_logs = [];
+          logged_nodes = Imap.empty;
+        }
+        :: st.txs;
+    }
+  | Event.Tx_end -> (
+    match st.txs with
+    | [] -> st
+    | tx :: outer ->
+      let out =
+        if tx.written then st.out
+        else
+          Now
+            (warn ctx Warning.Durable_tx_no_writes tx.begin_event
+               "durable transaction commits without any persistent write")
+          :: st.out
+      in
+      { st with out; txs = outer; decided = judge_whole_logs ctx st.decided tx })
+  | Event.Fence | Event.Epoch_begin | Event.Epoch_end | Event.Strand_begin _
+  | Event.Strand_end _ | Event.Call_mark _ | Event.Ret_mark _ ->
+    st
+
+let coverage_finish ctx st =
+  let decided = List.fold_left (judge_whole_logs ctx) st.decided st.txs in
+  List.rev st.out
+  |> List.filter_map (function
+       | Now w -> Some w
+       | Deferred at -> Imap.find_opt at decided)
+
+(* ------------------------------------------------------------------ *)
+(* The rules over a scoped list: each folds its machine. *)
+
+let fold_rule start step finish scoped =
+  finish (List.fold_left step start scoped)
+
+let check_unflushed_write ctx scoped =
+  fold_rule unflushed_start unflushed_step (unflushed_finish ctx) scoped
+
+let check_multiple_writes_at_once ctx scoped =
+  fold_rule (multiple_start ctx) (multiple_step ctx) multiple_finish scoped
+
+let check_missing_persist_barrier ctx scoped =
+  fold_rule (barrier_start ctx) (barrier_step ctx) barrier_finish scoped
+
+let check_missing_barrier_nested_tx ctx scoped =
+  fold_rule (nested_start ctx) (nested_step ctx) nested_finish scoped
+
+let check_semantic_mismatch ctx scoped =
+  fold_rule mismatch_start (mismatch_step ctx) (mismatch_finish ctx) scoped
+
+let check_strand_dependence ctx scoped =
+  fold_rule (strands_start ctx) (strands_step ctx) (strands_finish ctx) scoped
+
+let check_flush_coverage ctx scoped =
+  fold_rule coverage_start (coverage_step ctx) (coverage_finish ctx) scoped
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -958,12 +1217,18 @@ let meta_of id = List.find (fun m -> m.id = id) catalog
 let applicable_rules model =
   List.filter (fun m -> List.exists (Model.equal model) m.models) catalog
 
-(* One [run_all] serves both engines ([check_trace] and
-   [Incremental.finish]), so this counter covers every path the checker
-   runs the rules over, regardless of engine. *)
+(* Both counters cover every engine: [check_trace] and the streaming
+   walk both run [Incremental]. [events_scanned] sums the length of each
+   completed path; [events_stepped] counts the events the machine
+   actually stepped, once per distinct path prefix under the streaming
+   walk, so the ratio of the two is the prefix sharing. *)
 let m_events_scanned =
   Obs.Metrics.counter "rules.events_scanned"
     ~desc:"scoped events handed to the rule set, summed over completed paths"
+
+let m_events_stepped =
+  Obs.Metrics.counter "rules.events_stepped"
+    ~desc:"events the rule machine stepped, each shared path prefix once"
 
 (* ------------------------------------------------------------------ *)
 (* Static witnesses: the minimal event slice behind a warning.
@@ -1115,106 +1380,87 @@ let attach_witnesses scoped warnings =
       | None -> Warning.with_witness w (static_witness scoped w))
     warnings
 
-let run_all ctx scoped =
-  if Obs.enabled () then Obs.Metrics.add m_events_scanned (List.length scoped);
-  let warnings =
-    List.concat
-      [
-        check_unflushed_write ctx scoped;
-        check_multiple_writes_at_once ctx scoped;
-        check_missing_persist_barrier ctx scoped;
-        check_missing_barrier_nested_tx ctx scoped;
-        check_semantic_mismatch ctx scoped;
-        check_strand_dependence ctx scoped;
-        check_flush_coverage ctx scoped;
-      ]
-  in
-  if warnings <> [] && Witness.enabled () then attach_witnesses scoped warnings
-  else warnings
-
-(* Run every applicable rule over one trace. *)
-let check_trace ctx (trace : Trace.t) : Warning.t list =
-  run_all ctx (scope_trace trace)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental checking (streaming engine).
+(* Incremental checking: all seven rules stepped together.
 
-   The streaming trace engine feeds events into a per-path state as the
-   path is enumerated; the state is a persistent value, so forking an
-   in-flight path at a branch point is one pointer copy and siblings
-   share their common scoped prefix. When a path completes, [finish]
-   runs the rule set over its scoped events and the warnings stream out
-   — no second pass over a materialized trace.
-
-   [step] is an independent reimplementation of [scope_trace] (kept
-   deliberately separate: the Materialized/Streaming differential tests
-   cross-check the two scopings against each other). *)
+   The checker threads a [state] through its path walk: every event is
+   scoped and handed to each rule's machine once, and because the state
+   is a persistent value, a walk that forks at a branch point reuses the
+   state for every child — the rules step each distinct path prefix
+   once, not once per path through it. [finish] only emits: the
+   decisions that wait for the end of the path, each rule's warnings in
+   path order, then the rules in catalog order, and the static
+   witnesses, built from the path's scoped events when witness capture
+   is on. *)
 
 module Incremental = struct
   type state = {
-    idx : int;
-    tx_counter : int;
-    epoch_counter : int;
-    tx_stack : int list;
-    epoch : int;
-    unit_ : int;
-    strand : int;
+    ctx : ctx;
+    scope : scope;
     rev_scoped : scoped list; (* shared with forked siblings *)
+    unflushed : unflushed;
+    multiple : multiple;
+    barrier : barrier;
+    nested : nested;
+    mismatch : mismatch;
+    strands : strands;
+    coverage : coverage;
   }
 
-  let start =
+  let start ctx =
     {
-      idx = 0;
-      tx_counter = 0;
-      epoch_counter = 0;
-      tx_stack = [];
-      epoch = -1;
-      unit_ = 0;
-      strand = -1;
+      ctx;
+      scope = scope_start;
       rev_scoped = [];
+      unflushed = unflushed_start;
+      multiple = multiple_start ctx;
+      barrier = barrier_start ctx;
+      nested = nested_start ctx;
+      mismatch = mismatch_start;
+      strands = strands_start ctx;
+      coverage = coverage_start;
     }
 
-  let step (st : state) (e : Event.t) : state =
-    let mk tx_stack epoch strand =
-      {
-        ev = e;
-        idx = st.idx;
-        tx_depth = List.length tx_stack;
-        tx_id = (match tx_stack with [] -> -1 | t :: _ -> t);
-        tx_stack;
-        epoch;
-        unit_ = st.unit_;
-        strand;
-      }
-    in
-    let push s st = { st with idx = st.idx + 1; rev_scoped = s :: st.rev_scoped } in
-    match e.Event.kind with
-    | Event.Tx_begin ->
-      let id = st.tx_counter in
-      let stack = id :: st.tx_stack in
-      push
-        (mk stack st.epoch st.strand)
-        { st with tx_counter = id + 1; tx_stack = stack }
-    | Event.Tx_end ->
-      (* the Tx_end event itself belongs to the transaction it closes *)
-      let popped = match st.tx_stack with [] -> [] | _ :: t -> t in
-      push (mk st.tx_stack st.epoch st.strand) { st with tx_stack = popped }
-    | Event.Epoch_begin ->
-      let id = st.epoch_counter in
-      push
-        (mk st.tx_stack id st.strand)
-        { st with epoch_counter = id + 1; epoch = id }
-    | Event.Epoch_end ->
-      push (mk st.tx_stack st.epoch st.strand) { st with epoch = -1 }
-    | Event.Strand_begin n ->
-      push (mk st.tx_stack st.epoch n) { st with strand = n }
-    | Event.Strand_end _ ->
-      push (mk st.tx_stack st.epoch st.strand) { st with strand = -1 }
-    | Event.Fence ->
-      push (mk st.tx_stack st.epoch st.strand) { st with unit_ = st.unit_ + 1 }
-    | Event.Write _ | Event.Flush _ | Event.Log _ | Event.Call_mark _
-    | Event.Ret_mark _ -> push (mk st.tx_stack st.epoch st.strand) st
+  let step st (e : Event.t) =
+    if Obs.enabled () then Obs.Metrics.incr m_events_stepped;
+    let ctx = st.ctx in
+    let scope, s = scope_step st.scope e in
+    {
+      ctx;
+      scope;
+      rev_scoped = s :: st.rev_scoped;
+      unflushed = unflushed_step st.unflushed s;
+      multiple = multiple_step ctx st.multiple s;
+      barrier = barrier_step ctx st.barrier s;
+      nested = nested_step ctx st.nested s;
+      mismatch = mismatch_step ctx st.mismatch s;
+      strands = strands_step ctx st.strands s;
+      coverage = coverage_step ctx st.coverage s;
+    }
 
   let feed st trace = List.fold_left step st trace
-  let finish ctx st = run_all ctx (List.rev st.rev_scoped)
+
+  let finish st =
+    let ctx = st.ctx in
+    if Obs.enabled () then Obs.Metrics.add m_events_scanned st.scope.next_idx;
+    let warnings =
+      List.concat
+        [
+          unflushed_finish ctx st.unflushed;
+          multiple_finish st.multiple;
+          barrier_finish st.barrier;
+          nested_finish st.nested;
+          mismatch_finish ctx st.mismatch;
+          strands_finish ctx st.strands;
+          coverage_finish ctx st.coverage;
+        ]
+    in
+    if warnings <> [] && Witness.enabled () then
+      attach_witnesses (List.rev st.rev_scoped) warnings
+    else warnings
 end
+
+(* Run every applicable rule over one trace. *)
+let check_trace ctx (trace : Trace.t) : Warning.t list =
+  Incremental.(finish (feed (start ctx) trace))

@@ -1,7 +1,8 @@
 (** The checking rules of Table 4 (persistency-model violations) and
     Table 5 (performance bugs). Rule metadata lives in {!catalog} so the
     toolkit can print the tables from the registry itself; the checking
-    functions are pure over scoped traces. *)
+    functions are pure over scoped traces, each a fold of one rule of
+    the {!Incremental} machine. *)
 
 type ctx = { model : Model.t; dsg : Dsa.Dsg.t; tenv : Nvmir.Ty.env }
 
@@ -19,6 +20,7 @@ type scoped = {
 }
 
 val scope_trace : Trace.t -> scoped list
+(** The scoping {!Incremental.step} applies, folded over a trace. *)
 
 (** {1 Individual rules} — exposed for targeted testing *)
 
@@ -51,18 +53,22 @@ val static_witness : scoped list -> Warning.t -> Witness.t
 (** The minimal event slice behind a warning fired on the scoped path:
     what {!check_trace} attaches while witness capture is enabled. *)
 
-(** {1 Incremental checking} — the streaming engine's per-path state.
+(** {1 Incremental checking} — the rule machine the streaming engine
+    threads through its path walk.
 
-    A persistent scoping state: fork an in-flight path by reusing the
-    value, share scoped prefixes structurally. Implemented independently
-    of {!scope_trace} so the engine differential also cross-checks the
-    two scopings: for any trace,
-    [finish ctx (feed start trace) = check_trace ctx trace]. *)
+    A [state] holds the scoping and the pass state of each of the seven
+    rules, all persistent: [step] advances every rule by one event, and
+    forking a path is reusing the value, so paths that share a prefix
+    share the work of stepping it. [finish] only emits the end-of-path
+    decisions and, while witness capture is on, the witnesses. For any
+    trace, [finish (feed (start ctx) trace) = check_trace ctx trace], and
+    each [check_*] is one rule of the same machine folded over a scoped
+    list. *)
 module Incremental : sig
   type state
 
-  val start : state
+  val start : ctx -> state
   val step : state -> Event.t -> state
   val feed : state -> Event.t list -> state
-  val finish : ctx -> state -> Warning.t list
+  val finish : state -> Warning.t list
 end

@@ -14,31 +14,32 @@
 
    Two engines share these phases. [collect] is the original
    materializing pipeline: every root trace exists as a list before any
-   rule runs. [stream] enumerates a root's paths lazily — the DFS is a
-   [Seq] whose suspended branch frames share their event-prefix storage,
-   and call-site expansion is a lazy cross-product over memoized callee
-   suffixes — so peak memory is O(live paths), and the checker can
-   consume (and discard) each path as it completes. Both enumerate
-   identical traces in identical order; [collect] survives as the
-   differential oracle behind [Config.Materialized]. *)
+   rule runs; it survives as the differential oracle behind
+   [Config.Materialized]. [stream] walks a root's paths lazily and
+   threads a caller-supplied state through them instead of building
+   event lists: a branch point's state is shared by every path below
+   it, so a consumer stepping per event (the rule machine) does its
+   work once per distinct path prefix. Both enumerate identical traces
+   in identical order. *)
 
 type t = Event.t list
 
-(* Registry instruments, shared by both engines. "Paths expanded" are
-   fully-merged root paths (what the rules consume); memo hits/misses
-   count call-site lookups against the interprocedural memo, eager and
-   lazy alike. *)
+(* Registry instruments. "Paths expanded" are fully-merged root paths
+   (what the rules consume), in both engines; memo hits/misses count
+   call-site lookups against [collect]'s interprocedural memo. The
+   streaming walk keeps no memo: it steps a callee once per distinct
+   prefix that reaches the call. *)
 let m_paths =
   Obs.Metrics.counter "trace.paths_expanded"
     ~desc:"fully-expanded root paths handed to the rules"
 
 let m_memo_hits =
   Obs.Metrics.counter "trace.memo_hits"
-    ~desc:"call-site expansions served from the interprocedural memo"
+    ~desc:"call-site expansions served from the interprocedural memo (materialized engine)"
 
 let m_memo_misses =
   Obs.Metrics.counter "trace.memo_misses"
-    ~desc:"call-site lookups that had to build (or lacked) a memo entry"
+    ~desc:"call-site lookups that had to build (or lacked) a memo entry (materialized engine)"
 
 (* Events of one instruction, in order. [Persist] lowers to flush;fence. *)
 let events_of_instr dsg ~fname (i : Nvmir.Instr.t) : Event.t list =
@@ -142,23 +143,13 @@ let precompute_block_events dsg prog : block_events =
    accumulating events. Paths containing persistent operations are
    explored first when a cap cut is needed — we achieve this cheaply by
    enumerating in CFG order and capping, which suffices for corpus-scale
-   functions. [events] (streaming prepare) substitutes the precomputed
-   per-block cache for instruction-by-instruction resolution. *)
-let collect_function ?events (config : Config.t) dsg (func : Nvmir.Func.t) :
-    t list =
+   functions. *)
+let collect_function (config : Config.t) dsg (func : Nvmir.Func.t) : t list =
   let cfg = Graphs.Cfg.of_func func in
   let loops = Graphs.Loops.compute cfg in
   let fname = Nvmir.Func.name func in
-  let block_evs =
-    match events with
-    | Some (tbl : block_events) ->
-      let per_block = Hashtbl.find_opt tbl fname in
-      fun (block : Nvmir.Func.block) ->
-        Option.value ~default:[]
-          (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
-    | None ->
-      fun block ->
-        List.concat_map (events_of_instr dsg ~fname) block.Nvmir.Func.instrs
+  let block_evs block =
+    List.concat_map (events_of_instr dsg ~fname) block.Nvmir.Func.instrs
   in
   let traces = ref [] in
   let count = ref 0 in
@@ -202,102 +193,6 @@ let collect_function ?events (config : Config.t) dsg (func : Nvmir.Func.t) :
   List.rev !traces
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1, streaming: the same DFS as [collect_function], demand-driven.
-
-   The explicit frame stack replaces the recursion; pushing the else
-   frame below the then frame reproduces the recursive order (the whole
-   then subtree completes before the else branch starts). Suspended
-   frames keep their event accumulator as a shared-tail list, so N live
-   branches off one prefix store the prefix once. [stats] observes the
-   high-water mark of live frames — the O(live paths) the engine holds
-   instead of the O(all paths) the materialized engine does. *)
-
-type stats = {
-  mutable peak_live : int;  (* max simultaneously-live path frames *)
-  mutable paths : int;
-  mutable events : int;  (* non-marker events across yielded paths *)
-}
-
-let fresh_stats () = { peak_live = 0; paths = 0; events = 0 }
-
-(* A frame: CFG label to continue from, reversed events so far, and the
-   back-edge counts this path has used (immutable here — frames outlive
-   the walk that created them, so undo-style sharing cannot work). *)
-type frame = {
-  fr_label : string;
-  fr_acc : Event.t list;
-  fr_edges : ((string * string) * int) list;
-}
-
-let stream_function ?events (config : Config.t) dsg ~stats (func : Nvmir.Func.t)
-    : t Seq.t =
-  let cfg = Graphs.Cfg.of_func func in
-  let loops = Graphs.Loops.compute cfg in
-  let fname = Nvmir.Func.name func in
-  let block_evs =
-    match events with
-    | Some (tbl : block_events) ->
-      let per_block = Hashtbl.find_opt tbl fname in
-      fun (block : Nvmir.Func.block) ->
-        Option.value ~default:[]
-          (Option.bind per_block (fun t -> Hashtbl.find_opt t block.label))
-    | None ->
-      fun block ->
-        List.concat_map (events_of_instr dsg ~fname) block.Nvmir.Func.instrs
-  in
-  let note_live depth = if depth > stats.peak_live then stats.peak_live <- depth in
-  (* [depth] tracks the stack length so the high-water mark costs O(1)
-     per push instead of a length scan *)
-  let rec next stack depth () =
-    match stack with
-    | [] -> Seq.Nil
-    | fr :: stack -> (
-      (* live paths right now: the in-flight frame plus the suspended ones *)
-      note_live depth;
-      let depth = depth - 1 in
-      match Graphs.Cfg.block cfg fr.fr_label with
-      | None -> next stack depth ()
-      | Some block ->
-        let acc = List.rev_append (block_evs block) fr.fr_acc in
-        let follow target (stack, depth) =
-          if Graphs.Loops.is_back_edge loops ~source:fr.fr_label ~target then begin
-            let key = (fr.fr_label, target) in
-            let taken =
-              Option.value ~default:0 (List.assoc_opt key fr.fr_edges)
-            in
-            if taken < config.loop_bound then
-              ( {
-                  fr_label = target;
-                  fr_acc = acc;
-                  fr_edges =
-                    (key, taken + 1) :: List.remove_assoc key fr.fr_edges;
-                }
-                :: stack,
-                depth + 1 )
-            else (stack, depth)
-          end
-          else
-            ( { fr_label = target; fr_acc = acc; fr_edges = fr.fr_edges }
-              :: stack,
-              depth + 1 )
-        in
-        (match block.term with
-        | Nvmir.Func.Ret _ -> Seq.Cons (List.rev acc, next stack depth)
-        | Nvmir.Func.Br l ->
-          let stack, depth = follow l (stack, depth) in
-          next stack depth ()
-        | Nvmir.Func.Cond_br { then_lbl; else_lbl; _ } ->
-          (* else below then: then's subtree drains first, as in the
-             recursive walk *)
-          let stack, depth =
-            follow then_lbl (follow else_lbl (stack, depth))
-          in
-          next stack depth ()))
-  in
-  let entry = { fr_label = Graphs.Cfg.entry cfg; fr_acc = []; fr_edges = [] } in
-  next [ entry ] 1
-
-(* ------------------------------------------------------------------ *)
 (* Phase 2: splice callee traces into caller traces at call sites.
 
    Expansion is memoized bottom-up over the call graph (callees first,
@@ -338,98 +233,6 @@ let expand_with (config : Config.t) ~memo (trace : t) : t list =
   in
   take cap (expand_trace trace)
 
-(* The lazy mirror of [expand_with]: the same caps at the same points,
-   the same callee-major enumeration order, but callee trace sets come
-   from a [lookup] returning re-traversable sequences forced on demand —
-   a spliced trace exists only while the consumer looks at it. *)
-let expand_lookup (config : Config.t) ~lookup (trace : t) : t Seq.t =
-  let cap = config.max_paths in
-  let rec expand trace : t Seq.t =
-    match trace with
-    | [] -> Seq.return []
-    | ({ Event.kind = Event.Call_mark callee; fname; loc } as ev) :: rest -> (
-      let rests = Seq.memoize (Seq.take cap (expand rest)) in
-      match lookup callee with
-      | Some callee_traces when callee_traces () <> Seq.Nil ->
-        let callee_traces = Seq.take config.expansion_fanout callee_traces in
-        Seq.take cap
-          (Seq.concat_map
-             (fun ct ->
-               Seq.map
-                 (fun r ->
-                   (ev :: ct)
-                   @ (Event.make ~fname ~loc (Event.Ret_mark callee) :: r))
-                 rests)
-             callee_traces)
-      | Some _ | None -> Seq.map (fun r -> ev :: r) rests)
-    | ev :: rest -> Seq.map (fun r -> ev :: r) (expand rest)
-  in
-  Seq.take cap (expand trace)
-
-(* ------------------------------------------------------------------ *)
-(* Lazy memo (streaming engine).
-
-   The eager memo above materializes up to [max_paths] merged traces for
-   EVERY function, yet a caller splices only [expansion_fanout] of them
-   per call site — most of that work is computed and then never read.
-   The lazy memo gives each function a memoized [Seq] instead: forcing a
-   caller's traces forces just the demanded prefix of each callee's.
-
-   Cyclic SCCs keep the eager treatment (their bounded re-expansion
-   passes need the previous pass materialized). Two snapshots preserve
-   the eager engine's exact view:
-
-   - [lz_cyclic] is the first-pass (postorder) expansion of the cyclic
-     functions. Acyclic consumers splice THIS — in the eager build their
-     entries were materialized during the postorder pass, before any
-     re-expansion replaced a cyclic entry.
-   - the re-expansion passes themselves read the current cyclic table
-     ([materialize]'s [cur]), as the eager loop does.
-
-   [lz_seqs] holds suspended computation, so a [lazy_memo] must stay
-   confined to one domain; the tables it shares ([lz_intra],
-   [lz_cyclic]) are frozen before any sequence escapes [stream]. *)
-
-type lazy_memo = {
-  lz_config : Config.t;
-  lz_intra : (string, t list) Hashtbl.t;  (* shared, frozen *)
-  lz_cyclic : (string, t list) Hashtbl.t;  (* shared, frozen *)
-  lz_cyc_set : (string, unit) Hashtbl.t;  (* shared, frozen *)
-  lz_seqs : (string, t Seq.t) Hashtbl.t;  (* per-consumer *)
-}
-
-let rec lazy_entry lm name : t Seq.t option =
-  match Hashtbl.find_opt lm.lz_seqs name with
-  | Some s ->
-    Obs.Metrics.incr m_memo_hits;
-    Some s
-  | None -> (
-    match Hashtbl.find_opt lm.lz_cyclic name with
-    | Some ts ->
-      Obs.Metrics.incr m_memo_hits;
-      Some (List.to_seq ts)
-    | None when Hashtbl.mem lm.lz_cyc_set name ->
-      (* cyclic entry not built yet (later in the postorder pass): the
-         eager build would find no memo entry and keep the call mark —
-         expanding lazily here would recurse through the cycle forever *)
-      Obs.Metrics.incr m_memo_misses;
-      None
-    | None -> (
-      match Hashtbl.find_opt lm.lz_intra name with
-      | None -> None
-      | Some own ->
-        Obs.Metrics.incr m_memo_misses;
-        let s =
-          Seq.memoize
-            (Seq.take lm.lz_config.Config.max_paths
-               (Seq.concat_map (expand_lazy lm) (List.to_seq own)))
-        in
-        Hashtbl.add lm.lz_seqs name s;
-        Some s))
-
-and expand_lazy lm (trace : t) : t Seq.t =
-  expand_lookup lm.lz_config ~lookup:(lazy_entry lm) trace
-
 (* Functions in recursive SCCs (singleton SCCs only count when
    self-calling). *)
 let cyclic_funcs cg =
@@ -440,73 +243,13 @@ let cyclic_funcs cg =
       | fs -> fs)
     (Graphs.Callgraph.sccs cg)
 
-(* Intra traces for everything but [skip], plus the materialized cyclic
-   tables: [cyclic_pass1] (what acyclic consumers splice) and
-   [cyclic_cur] (the bounded-unrolling fixpoint, what a cyclic root
-   reads). Mirrors [build_memo]'s postorder pass and re-expansion loop
-   restricted to the cyclic functions — the only ones whose entries the
-   eager build ever overwrites. *)
-let build_lazy ?events (config : Config.t) dsg prog ~skip =
+(* Phase-2 driver: intra-procedural traces of every function, then
+   bottom-up memoized expansion. *)
+let build_memo (config : Config.t) dsg prog =
   let intra = Hashtbl.create 64 in
   List.iter
     (fun f ->
-      let fname = Nvmir.Func.name f in
-      if not (List.mem fname skip) then
-        Hashtbl.replace intra fname (collect_function ?events config dsg f))
-    (Nvmir.Prog.funcs prog);
-  let cg = Graphs.Callgraph.of_prog prog in
-  let cyclic = cyclic_funcs cg in
-  let cyc_set : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun f -> Hashtbl.replace cyc_set f ()) cyclic;
-  let cyclic_pass1 : (string, t list) Hashtbl.t = Hashtbl.create 8 in
-  (* shared acyclic consumer: reused across cyclic builds so their
-     acyclic callees expand once; always splices pass-1 cyclic entries *)
-  let shared =
-    {
-      lz_config = config;
-      lz_intra = intra;
-      lz_cyclic = cyclic_pass1;
-      lz_cyc_set = cyc_set;
-      lz_seqs = Hashtbl.create 32;
-    }
-  in
-  let materialize cur fname =
-    let lookup name =
-      match Hashtbl.find_opt cur name with
-      | Some ts -> Some (List.to_seq ts)
-      | None -> lazy_entry shared name
-    in
-    let own = Option.value ~default:[] (Hashtbl.find_opt intra fname) in
-    List.of_seq
-      (Seq.take config.max_paths
-         (Seq.concat_map (expand_lookup config ~lookup) (List.to_seq own)))
-  in
-  List.iter
-    (fun fname ->
-      if List.mem fname cyclic && not (List.mem fname skip) then
-        Hashtbl.replace cyclic_pass1 fname (materialize cyclic_pass1 fname))
-    (Graphs.Callgraph.postorder cg);
-  let cyclic_cur = Hashtbl.copy cyclic_pass1 in
-  if cyclic <> [] then
-    for _ = 2 to config.recursion_bound do
-      List.iter
-        (fun fname ->
-          if not (List.mem fname skip) then
-            Hashtbl.replace cyclic_cur fname (materialize cyclic_cur fname))
-        cyclic
-    done;
-  (cg, intra, cyclic_pass1, cyclic_cur, cyc_set)
-
-(* Shared phase-2 driver: intra-procedural traces for the functions in
-   [skip_intra]'s complement, then bottom-up memoized expansion for
-   everything not in [skip_memo]. *)
-let build_memo ?events (config : Config.t) dsg prog ~skip =
-  let intra = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let fname = Nvmir.Func.name f in
-      if not (List.mem fname skip) then
-        Hashtbl.replace intra fname (collect_function ?events config dsg f))
+      Hashtbl.replace intra (Nvmir.Func.name f) (collect_function config dsg f))
     (Nvmir.Prog.funcs prog);
   let cg = Graphs.Callgraph.of_prog prog in
   let memo : (string, t list) Hashtbl.t = Hashtbl.create 64 in
@@ -516,26 +259,17 @@ let build_memo ?events (config : Config.t) dsg prog ~skip =
     |> take config.max_paths
   in
   List.iter
-    (fun fname ->
-      if not (List.mem fname skip) then
-        Hashtbl.replace memo fname (expand_function fname))
+    (fun fname -> Hashtbl.replace memo fname (expand_function fname))
     (Graphs.Callgraph.postorder cg);
   (* bounded unrolling for recursive components *)
-  let cyclic =
-    List.concat_map
-      (fun scc ->
-        match scc with
-        | [ f ] when not (List.mem f (Graphs.Callgraph.callees cg f)) -> []
-        | fs -> fs)
-      (Graphs.Callgraph.sccs cg)
-  in
+  let cyclic = cyclic_funcs cg in
   if cyclic <> [] then
     for _ = 2 to config.recursion_bound do
       List.iter
         (fun fname -> Hashtbl.replace memo fname (expand_function fname))
         cyclic
     done;
-  (cg, memo, cyclic)
+  (cg, memo)
 
 let resolve_roots ~roots cg prog =
   match roots with
@@ -554,7 +288,7 @@ let default_roots prog =
    to the call-graph roots: functions never called from the program). *)
 let collect ?(config = Config.default) ?roots dsg prog :
     (string * t list) list =
-  let cg, memo, _ = build_memo config dsg prog ~skip:[] in
+  let cg, memo = build_memo config dsg prog in
   let roots = resolve_roots ~roots cg prog in
   List.map
     (fun r ->
@@ -564,86 +298,310 @@ let collect ?(config = Config.default) ?roots dsg prog :
     roots
 
 (* ------------------------------------------------------------------ *)
-(* Streaming entry point: one lazy trace sequence per root.
+(* Streaming: one walk over a root's merged paths that threads a
+   caller-supplied state in place of the event list.
 
-   A root is streamable when nothing calls it (its memo entry would
-   never be read) and it is not part of a recursive cycle (cyclic
-   functions need their materialized previous-pass expansion). Such a
-   root's paths never exist as a list: its intra DFS and call-site
-   expansion are both demand-driven. Non-streamable roots fall back to
-   reading the memo — correct, just not lazy.
+   [stream] compiles every function once: the precomputed events of each
+   block, split at its call marks, and its successor edges with their
+   back-edge identities. A walk runs [collect_function]'s bounded DFS
+   over that, with an explicit frame stack (pushing the else frame below
+   the then frame keeps the recursive order) and with the states of
+   every expansion of the path so far in place of its event
+   accumulator. A call mark steps each state into the callee's walk from
+   that state, so callee events are stepped once per distinct prefix
+   that reaches the call, and the expansions come out callee-major,
+   [expand_with]'s order. A branch point's states are memoized and
+   shared by every child, so each distinct path prefix is stepped once,
+   not once per path through it. Caps are applied as [expand_with]
+   applies them: at most [expansion_fanout] callee paths per call site
+   and [max_paths] paths per root; every state reaching a call site
+   yields at least one expansion, so taking the first [max_paths] at the
+   end cuts where capping every cross-product does.
 
-   Everything mutable (DSG resolution, memo tables, per-block event
-   caches) is built here, before any sequence is returned; forcing the
-   sequences only reads, so distinct roots can be consumed from
-   distinct domains concurrently (after [Dsa.Arena.compress]). *)
+   Recursive cycles keep their bounded re-expansion: the cyclic
+   functions' paths are materialized through the same walk (with the
+   reversed event list as the state) before [stream] returns, and a
+   call into a cycle replays them. Everything the walks read is built
+   before [stream] returns and only read afterwards, so distinct roots
+   can be walked from distinct domains concurrently (after
+   [Dsa.Arena.compress]); the memoized branch states live inside one
+   walk. *)
 
-type source = { root : string; s_stats : stats; traces : t Seq.t }
+type stats = {
+  mutable peak_live : int;  (* max simultaneously-live path frames *)
+  mutable paths : int;
+  mutable events : int;  (* non-marker events across yielded paths *)
+}
 
+let fresh_stats () = { peak_live = 0; paths = 0; events = 0 }
+
+(* A block's events between call marks, and its call marks. *)
+type seg =
+  | Events of Event.t list * int  (* the events, their non-marker count *)
+  | Call of { mark : Event.t; ret : Event.t; callee : string }
+
+type exit =
+  | Return
+  | Succs of (int * int) list
+      (* (target block, or -1 when the label names none; back-edge id,
+         or -1), then before else *)
+
+type compiled = { blocks : (seg list * exit) array; entry : int }
+
+let non_markers evs =
+  List.fold_left (fun n e -> if Event.is_marker e then n else n + 1) 0 evs
+
+let segments evs =
+  let events rev segs =
+    match rev with
+    | [] -> segs
+    | _ ->
+      let evs = List.rev rev in
+      Events (evs, non_markers evs) :: segs
+  in
+  let rec go rev segs = function
+    | [] -> List.rev (events rev segs)
+    | ({ Event.kind = Event.Call_mark callee; fname; loc } as mark) :: rest ->
+      let ret = Event.make ~fname ~loc (Event.Ret_mark callee) in
+      go [] (Call { mark; ret; callee } :: events rev segs) rest
+    | e :: rest -> go (e :: rev) segs rest
+  in
+  go [] [] evs
+
+let compile (events : block_events) (func : Nvmir.Func.t) : compiled =
+  let cfg = Graphs.Cfg.of_func func in
+  let loops = Graphs.Loops.compute cfg in
+  let per_block = Hashtbl.find_opt events (Nvmir.Func.name func) in
+  let blocks = Array.of_list func.Nvmir.Func.blocks in
+  (* a label names its first block, as [Cfg.block] resolves it *)
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri
+    (fun i (b : Nvmir.Func.block) ->
+      if not (Hashtbl.mem index b.label) then Hashtbl.add index b.label i)
+    blocks;
+  let back_ids = Hashtbl.create 4 in
+  let edge source target =
+    let back =
+      if Graphs.Loops.is_back_edge loops ~source ~target then begin
+        match Hashtbl.find_opt back_ids (source, target) with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length back_ids in
+          Hashtbl.add back_ids (source, target) id;
+          id
+      end
+      else -1
+    in
+    (Option.value ~default:(-1) (Hashtbl.find_opt index target), back)
+  in
+  let compile_block (b : Nvmir.Func.block) =
+    let evs =
+      Option.value ~default:[]
+        (Option.bind per_block (fun t -> Hashtbl.find_opt t b.label))
+    in
+    ( segments evs,
+      match b.term with
+      | Nvmir.Func.Ret _ -> Return
+      | Nvmir.Func.Br l -> Succs [ edge b.label l ]
+      | Nvmir.Func.Cond_br { then_lbl; else_lbl; _ } ->
+        Succs [ edge b.label then_lbl; edge b.label else_lbl ] )
+  in
+  {
+    blocks = Array.map compile_block blocks;
+    entry = Hashtbl.find index (Graphs.Cfg.entry cfg);
+  }
+
+(* What a call site splices: a function to walk, the materialized paths
+   of a recursive cycle, or nothing (the call mark stays). *)
+type target = Walk of compiled | Paths of t list | Keep
+
+(* The merged paths of [fn] from each of [states], in order, as
+   (non-marker events, state) pairs. [lookup] resolves [fn]'s own call
+   sites, [nested] those of the functions it calls; [live] sees the
+   frame-stack depth at every frame pop. *)
+let rec walk_function (config : Config.t) ~step ~nested ~lookup
+    ?(live = ignore) (fn : compiled) states =
+  let rec next stack depth () =
+    match stack with
+    | [] -> Seq.Nil
+    | (block, states, edges) :: stack -> (
+      (* live paths right now: the in-flight frame plus the suspended ones *)
+      live depth;
+      let depth = depth - 1 in
+      if block < 0 then next stack depth ()
+      else
+        let segs, exit = fn.blocks.(block) in
+        let states = advance config ~step ~nested ~lookup states segs in
+        match exit with
+        | Return -> Seq.append states (next stack depth) ()
+        | Succs succs ->
+          let states =
+            match succs with [ _ ] -> states | _ -> Seq.memoize states
+          in
+          let follow (target, back) (stack, depth) =
+            if back < 0 then ((target, states, edges) :: stack, depth + 1)
+            else
+              let taken = Option.value ~default:0 (List.assoc_opt back edges) in
+              if taken < config.loop_bound then
+                ( (target, states, (back, taken + 1) :: List.remove_assoc back edges)
+                  :: stack,
+                  depth + 1 )
+              else (stack, depth)
+          in
+          let stack, depth = List.fold_right follow succs (stack, depth) in
+          next stack depth ())
+  in
+  next [ (fn.entry, states, []) ] 1
+
+(* Step every state through one block's segments. *)
+and advance config ~step ~nested ~lookup states segs =
+  List.fold_left
+    (fun states seg ->
+      match seg with
+      | Events (evs, n) ->
+        Seq.map (fun (c, st) -> (c + n, List.fold_left step st evs)) states
+      | Call { mark; ret; callee } ->
+        let target = lookup callee in
+        Seq.concat_map
+          (fun (c, st) ->
+            let st = step st mark in
+            match splice config ~step ~nested target (c, st) () with
+            | Seq.Nil -> Seq.return (c, st)
+            | Seq.Cons _ as ends ->
+              Seq.map (fun (c, st) -> (c, step st ret)) (fun () -> ends))
+          states)
+    states segs
+
+(* The first [expansion_fanout] paths of a call site's target, stepped
+   from [state]. *)
+and splice (config : Config.t) ~step ~nested target (c, st) =
+  (* [expand_with] takes [expansion_fanout] of a callee's paths, which
+     the memo already capped at [max_paths] *)
+  let fanout = min config.expansion_fanout config.max_paths in
+  match target with
+  | Keep -> Seq.empty
+  | Paths ts ->
+    Seq.map
+      (fun tr -> (c + non_markers tr, List.fold_left step st tr))
+      (Seq.take fanout (List.to_seq ts))
+  | Walk fn ->
+    Seq.take fanout
+      (walk_function config ~step ~nested ~lookup:nested fn (Seq.return (c, st)))
+
+let cons_event acc e = e :: acc
+
+(* The materialized paths of the recursive cycles: [pass1] is their
+   first (postorder) expansion, which every acyclic caller splices;
+   [cur] is the bounded-unrolling fixpoint, which a cyclic root reads
+   and which each re-expansion pass splices for calls within the
+   cycles. *)
+let materialize_cycles (config : Config.t) cg ~compiled ~cyclic ~nested
+    ~pass1 =
+  let materialize cur fname =
+    match Hashtbl.find_opt compiled fname with
+    | None -> []
+    | Some fn ->
+      let lookup name =
+        match Hashtbl.find_opt cur name with
+        | Some ts -> Paths ts
+        | None -> nested name
+      in
+      walk_function config ~step:cons_event ~nested ~lookup fn
+        (Seq.return (0, []))
+      |> Seq.take config.max_paths
+      |> Seq.map (fun (_, rev) -> List.rev rev)
+      |> List.of_seq
+  in
+  List.iter
+    (fun fname ->
+      if List.mem fname cyclic then
+        Hashtbl.replace pass1 fname (materialize pass1 fname))
+    (Graphs.Callgraph.postorder cg);
+  let cur = Hashtbl.copy pass1 in
+  if cyclic <> [] then
+    for _ = 2 to config.recursion_bound do
+      List.iter
+        (fun fname -> Hashtbl.replace cur fname (materialize cur fname))
+        cyclic
+    done;
+  cur
+
+type source = {
+  root : string;
+  s_stats : stats;
+  traces : t Seq.t;
+  walk : 'a. 'a -> ('a -> Event.t -> 'a) -> 'a Seq.t;
+}
+
+(* A root's walk. A root nothing calls runs the lazy DFS, and its stats
+   observe the live frames. A recursive root replays its materialized
+   fixpoint; a root called from elsewhere walks like a callee, and its
+   live paths are counted as its intra-procedural paths. *)
 let stream ?(config = Config.default) ?roots dsg prog : source list =
   let events = precompute_block_events dsg prog in
   let cg = Graphs.Callgraph.of_prog prog in
   let requested = resolve_roots ~roots cg prog in
   let never_called = Graphs.Callgraph.roots cg in
   let cyclic = cyclic_funcs cg in
-  let streamable r = List.mem r never_called && not (List.mem r cyclic) in
-  let streamed = List.filter streamable requested in
-  let _, intra, cyclic_pass1, cyclic_cur, cyc_set =
-    build_lazy ~events config dsg prog ~skip:streamed
+  let compiled = Hashtbl.create 64 in
+  List.iter
+    (fun f -> Hashtbl.replace compiled (Nvmir.Func.name f) (compile events f))
+    (Nvmir.Prog.funcs prog);
+  let pass1 : (string, t list) Hashtbl.t = Hashtbl.create 8 in
+  let nested name =
+    if List.mem name cyclic then
+      match Hashtbl.find_opt pass1 name with Some ts -> Paths ts | None -> Keep
+    else
+      match Hashtbl.find_opt compiled name with Some fn -> Walk fn | None -> Keep
   in
-  let funcs = Nvmir.Prog.funcs prog in
+  let cyclic_cur = materialize_cycles config cg ~compiled ~cyclic ~nested ~pass1 in
   List.map
     (fun r ->
       let s_stats = fresh_stats () in
-      let count tr =
+      let yielded (c, st) =
         Obs.Metrics.incr m_paths;
         s_stats.paths <- s_stats.paths + 1;
-        s_stats.events <-
-          s_stats.events
-          + List.fold_left
-              (fun n e -> if Event.is_marker e then n else n + 1)
-              0 tr;
-        tr
+        s_stats.events <- s_stats.events + c;
+        st
       in
-      (* one consumer per root: [lz_seqs] holds suspended state, so
-         distinct roots must not share it across domains *)
-      let lm =
-        {
-          lz_config = config;
-          lz_intra = intra;
-          lz_cyclic = cyclic_pass1;
-          lz_cyc_set = cyc_set;
-          lz_seqs = Hashtbl.create 32;
-        }
-      in
-      let traces =
-        if List.mem r streamed then
-          match List.find_opt (fun f -> Nvmir.Func.name f = r) funcs with
-          | None -> Seq.empty
-          | Some f ->
-            Seq.map count
-              (Seq.take config.max_paths
-                 (Seq.concat_map (expand_lazy lm)
-                    (stream_function ~events config dsg ~stats:s_stats f)))
-        else if Hashtbl.mem cyc_set r then begin
-          (* a recursive root needs its bounded-unrolling fixpoint,
-             materialized during prepare *)
+      let root =
+        match Hashtbl.find_opt compiled r with
+        | _ when List.mem r cyclic ->
           let ts = Option.value ~default:[] (Hashtbl.find_opt cyclic_cur r) in
           s_stats.peak_live <- List.length ts;
-          Seq.map count (List.to_seq ts)
-        end
-        else begin
-          (* called-from-elsewhere root: lazily expanded like a callee;
-             its intra traces are materialized, so count those as live *)
+          Paths ts
+        | None -> Keep
+        | Some fn when List.mem r never_called -> Walk fn
+        | Some fn ->
           s_stats.peak_live <-
-            List.length
-              (Option.value ~default:[] (Hashtbl.find_opt intra r));
-          match lazy_entry lm r with
-          | None -> Seq.empty
-          | Some s -> Seq.map count s
-        end
+            Seq.length
+              (Seq.take config.max_paths
+                 (walk_function config ~step:(fun () _ -> ()) ~nested
+                    ~lookup:(fun _ -> Keep) fn (Seq.return (0, ()))));
+          Walk fn
       in
-      { root = r; s_stats; traces })
+      let live depth =
+        if depth > s_stats.peak_live then s_stats.peak_live <- depth
+      in
+      let live = if List.mem r never_called then live else ignore in
+      let walk init step =
+        match root with
+        | Keep -> Seq.empty
+        | Paths ts ->
+          Seq.map
+            (fun tr -> yielded (non_markers tr, List.fold_left step init tr))
+            (List.to_seq ts)
+        | Walk fn ->
+          walk_function config ~step ~nested ~lookup:nested ~live fn
+            (Seq.return (0, init))
+          |> Seq.take config.max_paths |> Seq.map yielded
+      in
+      {
+        root = r;
+        s_stats;
+        traces = (fun () -> Seq.map List.rev (walk [] cons_event) ());
+        walk;
+      })
     requested
 
 let pp ppf (trace : t) =

@@ -1,8 +1,9 @@
 (** Trace collection (§4.3): bounded depth-first path enumeration per
     function, then memoized bottom-up splicing of callee traces into
     callers at call sites (Figure 11). [collect] materializes every
-    trace (the differential oracle); [stream] enumerates a root's paths
-    lazily with O(live paths) peak memory. *)
+    trace (the differential oracle); [stream] walks a root's paths
+    lazily, threading a caller's state so that paths sharing a prefix
+    share the work of stepping it. *)
 
 type t = Event.t list
 
@@ -10,18 +11,8 @@ val events_of_instr : Dsa.Dsg.t -> fname:string -> Nvmir.Instr.t -> Event.t list
 (** The events one instruction contributes; writes and flushes the DSG
     proves volatile contribute nothing. *)
 
-type block_events
-(** Per-(function, block) cache of resolved events with hash-consed
-    abstract addresses: each block is resolved through the DSG once
-    instead of once per path crossing it. *)
-
-val precompute_block_events : Dsa.Dsg.t -> Nvmir.Prog.t -> block_events
-
-val collect_function :
-  ?events:block_events -> Config.t -> Dsa.Dsg.t -> Nvmir.Func.t -> t list
-(** Phase 1: intra-procedural traces, with unexpanded call marks.
-    [events] substitutes the precomputed per-block cache for
-    instruction-by-instruction resolution. *)
+val collect_function : Config.t -> Dsa.Dsg.t -> Nvmir.Func.t -> t list
+(** Phase 1: intra-procedural traces, with unexpanded call marks. *)
 
 val collect :
   ?config:Config.t ->
@@ -49,8 +40,13 @@ type stats = {
 
 type source = {
   root : string;
-  s_stats : stats;  (** updated as [traces] is forced *)
-  traces : t Seq.t;
+  s_stats : stats;  (** updated as [traces] or [walk] is forced *)
+  traces : t Seq.t;  (** [walk] with the reversed event list as state *)
+  walk : 'a. 'a -> ('a -> Event.t -> 'a) -> 'a Seq.t;
+      (** [walk init step] enumerates the same paths as [traces], in the
+          same order, as the state [step] builds from [init] along each.
+          A branch point's state is computed once and reused by every
+          child, so each distinct path prefix is stepped once. *)
 }
 
 val stream :
@@ -59,13 +55,12 @@ val stream :
   Dsa.Dsg.t ->
   Nvmir.Prog.t ->
   source list
-(** One lazy trace sequence per root, enumerating exactly the traces
+(** One lazy path walk per root, enumerating exactly the traces
     {!collect} returns, in the same order. All DSG resolution happens
-    before this returns; forcing the sequences only reads shared state,
-    so distinct roots may be consumed from distinct domains (compress
-    the arena first — see {!Dsa.Arena.compress}). Each sequence is
-    single-shot per domain: it shares memoized suffixes internally but
-    the intra-procedural walk restarts if re-forced from the head. *)
+    before this returns; forcing the walks only reads shared state, so
+    distinct roots may be walked from distinct domains (compress the
+    arena first — see {!Dsa.Arena.compress}). Each force of [traces] or
+    [walk] runs a fresh walk; a walk must stay on one domain. *)
 
 val pp : t Fmt.t
 

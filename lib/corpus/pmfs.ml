@@ -154,7 +154,7 @@ entry:
   ret
 }
 
-func journal_driver_all() {
+func journal_driver_all(flag: int) {
 entry:
   j = alloc pmem journal_t
   call journal_commit(j)

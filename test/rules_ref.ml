@@ -1,11 +1,66 @@
 (* Reference rules: the direct list-scan statements of the seven static
    rules of Tables 4 and 5, one scan of the whole path per event, so
-   quadratic in path length. [Analysis.Rules] evaluates each rule as
-   one bucketed pass; test_rule_oracle.ml checks, path by path, that
-   both emit the same warnings in the same order. *)
+   quadratic in path length, over a direct recursive scoping of the
+   whole path. [Analysis.Rules] evaluates each rule as one bucketed
+   pass, all seven stepped together over path prefixes the walk shares;
+   test_rule_oracle.ml checks, path by path, that both emit the same
+   warnings in the same order, and that [Analysis.Checker.check] equals
+   [check] below, which checks every path on its own. *)
 
 open Analysis
 open Rules
+
+(* ------------------------------------------------------------------ *)
+(* Reference scoping: a direct recursion over the whole trace,
+   independent of the one-event-at-a-time scoping that
+   [Rules.scope_trace] and the rule machine share. *)
+
+let scope_trace (trace : Trace.t) : scoped list =
+  let tx_counter = ref 0 in
+  let epoch_counter = ref 0 in
+  let rec go idx tx_stack epoch unit_ strand = function
+    | [] -> []
+    | (e : Event.t) :: rest ->
+      let mk tx_stack epoch strand =
+        {
+          ev = e;
+          idx;
+          tx_depth = List.length tx_stack;
+          tx_id = (match tx_stack with [] -> -1 | t :: _ -> t);
+          tx_stack;
+          epoch;
+          unit_;
+          strand;
+        }
+      in
+      (match e.kind with
+      | Event.Tx_begin ->
+        let id = !tx_counter in
+        incr tx_counter;
+        let stack = id :: tx_stack in
+        mk stack epoch strand :: go (idx + 1) stack epoch unit_ strand rest
+      | Event.Tx_end ->
+        let popped = match tx_stack with [] -> [] | _ :: t -> t in
+        (* the Tx_end event itself belongs to the transaction it closes *)
+        mk tx_stack epoch strand :: go (idx + 1) popped epoch unit_ strand rest
+      | Event.Epoch_begin ->
+        let id = !epoch_counter in
+        incr epoch_counter;
+        mk tx_stack id strand :: go (idx + 1) tx_stack id unit_ strand rest
+      | Event.Epoch_end ->
+        mk tx_stack epoch strand :: go (idx + 1) tx_stack (-1) unit_ strand rest
+      | Event.Strand_begin n ->
+        mk tx_stack epoch n :: go (idx + 1) tx_stack epoch unit_ n rest
+      | Event.Strand_end _ ->
+        mk tx_stack epoch strand :: go (idx + 1) tx_stack epoch unit_ (-1) rest
+      | Event.Fence ->
+        mk tx_stack epoch strand
+        :: go (idx + 1) tx_stack epoch (unit_ + 1) strand rest
+      | Event.Write _ | Event.Flush _ | Event.Log _ | Event.Call_mark _
+      | Event.Ret_mark _ ->
+        mk tx_stack epoch strand :: go (idx + 1) tx_stack epoch unit_ strand rest)
+  in
+  go 0 [] (-1) 0 (-1) trace
 
 let has_marked_epochs scoped =
   List.exists
@@ -600,3 +655,32 @@ let all =
     ("strand-dependence", check_strand_dependence, Rules.check_strand_dependence);
     ("flush-coverage", check_flush_coverage, Rules.check_flush_coverage);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* A reference checker: every path [Trace.collect] materializes, each
+   scoped and checked on its own (with static witnesses while capture
+   is on), then first-occurrence dedup and the report order — what
+   [Checker.check] computes with one rule machine stepped over shared
+   path prefixes. The rules are the list scans above, or with
+   [~one_pass:true] the library's one-pass rules, each folded over the
+   path on its own: the list scans are quadratic, too slow for paths of
+   thousands of events. *)
+
+let check_path ?(one_pass = false) ctx trace =
+  let scoped = scope_trace trace in
+  let ws =
+    List.concat_map
+      (fun (_, reference, rule) -> (if one_pass then rule else reference) ctx scoped)
+      all
+  in
+  if ws <> [] && Witness.enabled () then
+    List.map (fun w -> Warning.with_witness w (static_witness scoped w)) ws
+  else ws
+
+let check ?one_pass ?roots ~model prog =
+  let dsg = Dsa.Dsg.build prog in
+  let ctx = { model; dsg; tenv = Nvmir.Prog.tenv prog } in
+  Trace.collect ?roots dsg prog
+  |> List.concat_map (fun (_, traces) ->
+         List.concat_map (check_path ?one_pass ctx) traces)
+  |> Warning.dedup |> Warning.sort

@@ -174,6 +174,25 @@ let test_corpus_programs_run () =
              (Printexc.to_string e)))
     Corpus.Registry.all
 
+(* Every fixed variant runs from its program's entry with its entry
+   arguments: the two variants share one driver signature, so crash
+   exploration of the fix never fails on an arity mismatch. *)
+let test_fixed_variants_crash_explore () =
+  List.iter
+    (fun (p : Corpus.Types.program) ->
+      match Corpus.Types.parse_fixed p with
+      | None -> ()
+      | Some fixed -> (
+        match
+          Deepmc.Crash_sweep.explore_program ~domains:1 ~entry:p.Corpus.Types.entry
+            ~args:p.Corpus.Types.entry_args fixed
+        with
+        | _ -> ()
+        | exception e ->
+          Alcotest.failf "%s fixed variant: %s" p.Corpus.Types.name
+            (Printexc.to_string e)))
+    Corpus.Registry.all
+
 let test_fixed_variants_are_clean () =
   (* every fixed variant must produce no validated-bug warnings at the
      ground-truth locations (the fix removes the bug) *)
@@ -230,6 +249,8 @@ let suite =
         test_dynamic_discovery_bugs_and_offset_lattice;
       tc "all corpus programs execute" `Quick test_corpus_programs_run;
       tc "fixed variants are clean" `Quick test_fixed_variants_are_clean;
+      tc "fixed variants crash-explore from their entry" `Quick
+        test_fixed_variants_crash_explore;
       tc "framework models" `Quick test_frameworks_have_right_models;
       tc "registry lookup" `Quick test_registry_find;
     ]

@@ -5,7 +5,14 @@
    generated Synth programs across sizes, defect rates and models, a
    Synth path of several thousand events, and random event sequences
    that no well-formed program produces (unbalanced transactions and
-   epochs, strided and unknown offsets, symbolic indexes). *)
+   epochs, strided and unknown offsets, symbolic indexes).
+
+   Then the prefix sharing: [Checker.check] steps one rule machine over
+   the path prefixes its walk shares, and must report what the
+   reference reports checking every path on its own — on the corpus,
+   on Synth programs, on the 64 paths of synth-long, and on directed
+   forks where sibling paths part right after the state a rule keeps
+   open. *)
 
 let tc = Alcotest.test_case
 
@@ -25,19 +32,22 @@ let with_witnesses f =
 let disagreement ctx trace =
   let scoped = Analysis.Rules.scope_trace trace in
   let rule_diff =
-    List.find_map
-      (fun (name, reference, rule) ->
-        let want = render (reference ctx scoped) and got = render (rule ctx scoped) in
-        if want = got then None
-        else
-          Some
-            (Fmt.str "%s on a %d-event path:@.reference@.  %a@.one-pass@.  %a" name
-               (List.length scoped)
-               Fmt.(list ~sep:(any "@.  ") string)
-               want
-               Fmt.(list ~sep:(any "@.  ") string)
-               got))
-      Rules_ref.all
+    if scoped <> Rules_ref.scope_trace trace then
+      Some "scoping differs from the reference's"
+    else
+      List.find_map
+        (fun (name, reference, rule) ->
+          let want = render (reference ctx scoped) and got = render (rule ctx scoped) in
+          if want = got then None
+          else
+            Some
+              (Fmt.str "%s on a %d-event path:@.reference@.  %a@.one-pass@.  %a" name
+                 (List.length scoped)
+                 Fmt.(list ~sep:(any "@.  ") string)
+                 want
+                 Fmt.(list ~sep:(any "@.  ") string)
+                 got))
+        Rules_ref.all
   in
   match rule_diff with
   | Some _ -> rule_diff
@@ -234,10 +244,321 @@ let prop_random_traces =
       | None -> true
       | Some d -> QCheck.Test.fail_report d)
 
+(* ------------------------------------------------------------------ *)
+(* Prefix sharing *)
+
+let model_name = Analysis.Model.to_string
+
+(* [Checker.check] against the reference checker: rendered warnings,
+   then witness JSON (["-"] for every warning while capture is off). *)
+let checker_disagreement ?one_pass ?roots ~model prog =
+  let got = (Analysis.Checker.check ?roots ~model prog).Analysis.Checker.warnings in
+  let want = Rules_ref.check ?one_pass ?roots ~model prog in
+  if render got <> render want then
+    Some
+      (Fmt.str "%s: checker@.  %a@.reference@.  %a" (model_name model)
+         Fmt.(list ~sep:(any "@.  ") string)
+         (render got)
+         Fmt.(list ~sep:(any "@.  ") string)
+         (render want))
+  else if List.map witness_json got <> List.map witness_json want then
+    Some (Fmt.str "%s: witnesses differ" (model_name model))
+  else None
+
+(* Path by path: the machine state the walk reaches at each path's end
+   against the reference checking that path alone — no dedup to hide a
+   warning one sibling leaked into another. *)
+let walk_disagreement ~model ?roots prog =
+  let ctx, dsg = ctx_of ~model prog in
+  List.find_map
+    (fun (src : Analysis.Trace.source) ->
+      let ends =
+        List.of_seq
+          (src.Analysis.Trace.walk (Analysis.Rules.Incremental.start ctx)
+             Analysis.Rules.Incremental.step)
+      in
+      let paths = List.of_seq src.Analysis.Trace.traces in
+      if List.length ends <> List.length paths then
+        Some (Fmt.str "root %s: %d walked paths, %d traces" src.Analysis.Trace.root
+                (List.length ends) (List.length paths))
+      else
+        List.find_map Fun.id
+          (List.mapi
+             (fun i (st, trace) ->
+               let got = Analysis.Rules.Incremental.finish st in
+               let want = Rules_ref.check_path ctx trace in
+               if render got = render want
+                  && List.map witness_json got = List.map witness_json want
+               then None
+               else
+                 Some
+                   (Fmt.str "%s, root %s, path %d:@.walk@.  %a@.reference@.  %a"
+                      (model_name model) src.Analysis.Trace.root i
+                      Fmt.(list ~sep:(any "@.  ") string)
+                      (render got)
+                      Fmt.(list ~sep:(any "@.  ") string)
+                      (render want)))
+             (List.combine ends paths)))
+    (Analysis.Trace.stream ?roots dsg prog)
+
+let test_corpus_checker () =
+  List.iter
+    (fun witnesses ->
+      let run () =
+        List.iter
+          (fun (p : Corpus.Types.program) ->
+            let prog = Corpus.Types.parse p in
+            let roots = p.Corpus.Types.roots in
+            List.iter
+              (fun model ->
+                match
+                  match checker_disagreement ~roots ~model prog with
+                  | Some _ as d -> d
+                  | None -> walk_disagreement ~roots ~model prog
+                with
+                | None -> ()
+                | Some d ->
+                  Alcotest.failf "%s (witnesses %b): %s" p.Corpus.Types.name
+                    witnesses d)
+              Analysis.Model.all)
+          Corpus.Registry.all
+      in
+      if witnesses then with_witnesses run else run ())
+    [ false; true ]
+
+(* Driver roots against the list-scan reference; the [main] root, whose
+   64 paths share long prefixes, against the one-pass rules folded path
+   by path. *)
+let prop_synth_checker =
+  QCheck.Test.make ~name:"prefix-shared checker = per-path reference (synth)"
+    ~count:10
+    (QCheck.make
+       ~print:(fun (seed, nfuncs, buggy, ptr_arith, model) ->
+         Fmt.str "seed=%d nfuncs=%d buggy=%d%% ptr_arith=%b %s" seed nfuncs buggy
+           ptr_arith (model_name model))
+       QCheck.Gen.(
+         map
+           (fun ((seed, nfuncs, buggy, ptr_arith), model) ->
+             (seed, nfuncs, buggy, ptr_arith, model))
+           (pair
+              (quad (int_bound 10_000) (int_range 10 60) (oneofl [ 0; 30; 100 ]) bool)
+              (oneofl Analysis.Model.[ Strict; Epoch ]))))
+    (fun (seed, nfuncs, buggy, ptr_arith, model) ->
+      let prog = synth_prog ~seed ~nfuncs ~buggy ~ptr_arith in
+      let drivers = Corpus.Synth.roots { Corpus.Synth.default_config with nfuncs } in
+      match
+        match checker_disagreement ~roots:drivers ~model prog with
+        | Some _ as d -> d
+        | None -> checker_disagreement ~one_pass:true ~roots:[ "main" ] ~model prog
+      with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* synth-long: Synth seed 1 at 60 functions from [main], 64 paths of
+   about 9,700 events, with and without witnesses. *)
+let test_synth_long () =
+  let prog = synth_prog ~seed:1 ~nfuncs:60 ~buggy:0 ~ptr_arith:false in
+  let model = Analysis.Model.Strict in
+  let r = Analysis.Checker.check ~roots:[ "main" ] ~model prog in
+  Alcotest.(check (pair int int))
+    "paths, events" (64, 618_624)
+    (r.Analysis.Checker.trace_count, r.Analysis.Checker.event_count);
+  Option.iter (Alcotest.fail)
+    (checker_disagreement ~one_pass:true ~roots:[ "main" ] ~model prog);
+  Option.iter (Alcotest.fail)
+    (with_witnesses (fun () ->
+         checker_disagreement ~one_pass:true ~roots:[ "main" ] ~model prog))
+
+(* Directed forks: [main flag] runs a common prefix that leaves a rule
+   state open, then branches; each sibling must get exactly the
+   warnings of its own path. [expect] lists, per path in walk order,
+   the (rule, line) of every warning. *)
+let fork_src body =
+  Fmt.str
+    {|struct s { f: int, g: int, h: int }
+func main(flag: int) {
+entry:
+  p = alloc pmem s
+  q = alloc pmem s
+%s
+}
+|}
+    body
+
+let fork_case ~model ~expect body () =
+  let prog = Nvmir.Parser.parse (fork_src body) in
+  Option.iter Alcotest.fail (walk_disagreement ~model prog);
+  Option.iter Alcotest.fail (checker_disagreement ~model prog);
+  let ctx, dsg = ctx_of ~model prog in
+  let per_path =
+    List.concat_map
+      (fun (src : Analysis.Trace.source) ->
+        List.of_seq
+          (Seq.map
+             (fun st ->
+               List.map
+                 (fun (w : Analysis.Warning.t) ->
+                   ( Analysis.Warning.rule_name w.Analysis.Warning.rule,
+                     w.Analysis.Warning.loc.Nvmir.Loc.line ))
+                 (Analysis.Rules.Incremental.finish st))
+             (src.Analysis.Trace.walk (Analysis.Rules.Incremental.start ctx)
+                Analysis.Rules.Incremental.step)))
+      (Analysis.Trace.stream dsg prog)
+  in
+  Alcotest.(check (list (list (pair string int)))) "warnings per path" expect per_path
+
+let fork_after_unflushed_write =
+  fork_case ~model:Analysis.Model.Strict
+    ~expect:[ []; [ ("unflushed-write", 1); ("unflushed-write", 3) ] ]
+    {|  store p->f, 1          @ fork.c:1
+  br flag, a, b
+a:
+  persist exact p->f     @ fork.c:2
+  ret
+b:
+  store p->g, 2          @ fork.c:3
+  ret|}
+
+let fork_in_open_tx =
+  fork_case ~model:Analysis.Model.Strict
+    ~expect:[ [ ("unflushed-write", 4) ]; [] ]
+    {|  tx_begin               @ fork.c:1
+  tx_add exact p->f      @ fork.c:2
+  store p->f, 1          @ fork.c:3
+  br flag, a, b
+a:
+  store p->g, 2          @ fork.c:4
+  tx_end                 @ fork.c:5
+  ret
+b:
+  tx_add exact p->g      @ fork.c:6
+  store p->g, 2          @ fork.c:7
+  tx_end                 @ fork.c:8
+  ret|}
+
+let fork_after_whole_object_log =
+  fork_case ~model:Analysis.Model.Strict
+    ~expect:[ [ ("flush-unmodified", 2) ]; [] ]
+    {|  tx_begin               @ fork.c:1
+  tx_add object p        @ fork.c:2
+  br flag, a, b
+a:
+  store p->f, 1          @ fork.c:3
+  tx_end                 @ fork.c:4
+  ret
+b:
+  store p->f, 1          @ fork.c:5
+  store p->g, 2          @ fork.c:6
+  store p->h, 3          @ fork.c:7
+  tx_end                 @ fork.c:8
+  ret|}
+
+let fork_in_open_strand =
+  fork_case ~model:Analysis.Model.Strand
+    ~expect:
+      [
+        [ ("unflushed-write", 2); ("unflushed-write", 5); ("strand-dependence", 5) ];
+        [ ("unflushed-write", 2); ("unflushed-write", 9) ];
+      ]
+    {|  strand_begin 1         @ fork.c:1
+  store p->f, 1          @ fork.c:2
+  br flag, a, b
+a:
+  strand_end 1           @ fork.c:3
+  strand_begin 2         @ fork.c:4
+  store p->f, 2          @ fork.c:5
+  strand_end 2           @ fork.c:6
+  ret
+b:
+  strand_end 1           @ fork.c:7
+  strand_begin 2         @ fork.c:8
+  store q->f, 2          @ fork.c:9
+  strand_end 2           @ fork.c:10
+  ret|}
+
+(* Semantic mismatch judges a path by epochs once it marks one: the
+   sibling that never opens an epoch keeps the fence-delimited units. *)
+let fork_before_first_epoch =
+  fork_case ~model:Analysis.Model.Epoch
+    ~expect:[ [ ("semantic-mismatch", 3) ]; [] ]
+    {|  store p->f, 1          @ fork.c:1
+  persist exact p->f     @ fork.c:2
+  br flag, a, b
+a:
+  store p->g, 2          @ fork.c:3
+  persist exact p->g     @ fork.c:4
+  ret
+b:
+  epoch_begin            @ fork.c:5
+  store p->g, 2          @ fork.c:6
+  persist exact p->g     @ fork.c:7
+  epoch_end              @ fork.c:8
+  ret|}
+
+(* Calls the walk cannot splice: an undefined callee, and the bounded
+   recursion's innermost call, keep their call mark with no return
+   mark, on both sides of a fork. The walk must enumerate what
+   [Trace.collect] materializes, and its states must carry the marks
+   into the witnesses' call paths. *)
+let fork_around_unexpanded_calls () =
+  let prog =
+    Nvmir.Parser.parse
+      {|struct s { f: int, g: int, h: int }
+func rec(p: ptr s, n: int) {
+entry:
+  store p->g, n          @ calls.c:10
+  br n, again, done
+again:
+  call rec(p, n)         @ calls.c:11
+  persist exact p->g     @ calls.c:12
+  ret
+done:
+  ret
+}
+func main(flag: int) {
+entry:
+  p = alloc pmem s
+  store p->f, 1          @ calls.c:1
+  call ext(p)            @ calls.c:2
+  br flag, a, b
+a:
+  call rec(p, flag)      @ calls.c:3
+  ret
+b:
+  persist exact p->f     @ calls.c:4
+  ret
+}
+|}
+  in
+  let roots = [ "main"; "rec" ] in
+  let dsg = Dsa.Dsg.build prog in
+  List.iter2
+    (fun (root, collected) (src : Analysis.Trace.source) ->
+      if collected <> List.of_seq src.Analysis.Trace.traces then
+        Alcotest.failf "root %s: walked paths differ from the collected ones" root)
+    (Analysis.Trace.collect ~roots dsg prog)
+    (Analysis.Trace.stream ~roots (Dsa.Dsg.build prog) prog);
+  with_witnesses (fun () ->
+      List.iter
+        (fun model ->
+          Option.iter Alcotest.fail (walk_disagreement ~roots ~model prog);
+          Option.iter Alcotest.fail (checker_disagreement ~roots ~model prog))
+        Analysis.Model.all)
+
 let suite =
   [
     tc "one-pass rules = reference (corpus, all models)" `Quick test_corpus;
     tc "one-pass rules = reference (2,000+-event paths)" `Quick test_long_path;
     QCheck_alcotest.to_alcotest prop_synth;
     QCheck_alcotest.to_alcotest prop_random_traces;
+    tc "prefix-shared checker = reference (corpus, witnesses off/on)" `Quick
+      test_corpus_checker;
+    QCheck_alcotest.to_alcotest prop_synth_checker;
+    tc "prefix-shared checker = reference (synth-long)" `Quick test_synth_long;
+    tc "fork after an unflushed write" `Quick fork_after_unflushed_write;
+    tc "fork inside an open tx" `Quick fork_in_open_tx;
+    tc "fork after a whole-object log" `Quick fork_after_whole_object_log;
+    tc "fork inside an open strand region" `Quick fork_in_open_strand;
+    tc "fork before the first epoch" `Quick fork_before_first_epoch;
+    tc "fork around unexpanded calls" `Quick fork_around_unexpanded_calls;
   ]

@@ -61,8 +61,10 @@ let test_corpus_trace_streams () =
         collected sources)
     Corpus.Registry.all
 
-(* The incremental scoping machine agrees with [scope_trace]-based
-   checking on every corpus trace. *)
+(* The rule machine's scoping against the reference's direct recursion
+   ([Rules_ref.scope_trace]) on every corpus trace, and the machine
+   stepped over a trace against the seven rules run on the reference
+   scoping. *)
 let test_incremental_rules_agree () =
   List.iter
     (fun (p : Corpus.Types.program) ->
@@ -79,14 +81,21 @@ let test_incremental_rules_agree () =
         (fun (_, traces) ->
           List.iter
             (fun t ->
-              let direct = Analysis.Rules.check_trace ctx t in
+              let scoped = Rules_ref.scope_trace t in
+              check Alcotest.bool
+                (p.Corpus.Types.name ^ " scoping")
+                true
+                (Analysis.Rules.scope_trace t = scoped);
+              let per_rule =
+                List.concat_map (fun (_, _, rule) -> rule ctx scoped) Rules_ref.all
+              in
               let inc =
-                Analysis.Rules.Incremental.(feed start t |> finish ctx)
+                Analysis.Rules.Incremental.(feed (start ctx) t |> finish)
               in
               check
                 Alcotest.(list string)
                 (p.Corpus.Types.name ^ " incremental rules")
-                (List.map (Fmt.str "%a" Analysis.Warning.pp) direct)
+                (List.map (Fmt.str "%a" Analysis.Warning.pp) per_rule)
                 (List.map (Fmt.str "%a" Analysis.Warning.pp) inc))
             traces)
         (Analysis.Trace.collect ~roots:p.Corpus.Types.roots dsg prog))
