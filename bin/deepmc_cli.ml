@@ -703,13 +703,6 @@ let crash_explore_cmd =
             "Maximum images per crash point: exhaustive below, sampled \
              above.")
   in
-  let domains_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Worker domains for the crash-point fan-out.")
-  in
   let recover_flag =
     Arg.(
       value & flag
@@ -718,8 +711,7 @@ let crash_explore_cmd =
             "Additionally run the recovery entry (`recover') over every \
              enumerated image under the media-corruption model.")
   in
-  let run () file entry bound seed domains recover json metrics_json
-      trace_out =
+  let run () file entry bound seed recover json metrics_json trace_out =
     let ( let* ) = Result.bind in
     let* prog = load file in
     let* prog = validated prog in
@@ -728,7 +720,7 @@ let crash_explore_cmd =
     | None -> Error (`Msg (Fmt.str "entry %s not defined" entry))
     | Some _ ->
       let r =
-        Deepmc.Crash_sweep.explore_program ?domains ~bound ~seed ~entry prog
+        Deepmc.Crash_sweep.explore_program ~bound ~seed ~entry prog
       in
       let* recovery =
         if not recover then Ok None
@@ -776,7 +768,7 @@ let crash_explore_cmd =
     Term.(
       term_result
         (const run $ setup_logs_term $ file_arg $ entry_req $ bound_term
-       $ seed_term $ domains_term $ recover_flag $ json_term
+       $ seed_term $ recover_flag $ json_term
        $ metrics_json_term $ trace_out_term))
 
 (* Recovery-path verification: for every durable image a crash can

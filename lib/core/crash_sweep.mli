@@ -1,7 +1,7 @@
-(** Parallel crash-image exploration: fans {!Runtime.Crash_space} tasks
-    (one per crash point, per program) out over the {!Parallel} domain
-    pool. Each task re-executes its program independently, so nothing is
-    shared between domains beyond the (read-only) program. *)
+(** Parallel crash-image exploration: fans programs out over the
+    {!Parallel} domain pool. Exploring a program is one interpreted run
+    ({!Runtime.Crash_space.explore}), so nothing is shared between
+    domains beyond the (read-only) programs. *)
 
 type job = {
   name : string;
@@ -13,11 +13,10 @@ type job = {
 type program_report = {
   name : string;
   report : Runtime.Crash_space.report;
-  elapsed_s : float;  (** summed per-task CPU seconds, not wall clock *)
+  elapsed_s : float;  (** seconds exploring this program, on its domain *)
 }
 
 val explore_program :
-  ?domains:int ->
   ?config:Runtime.Config.t ->
   ?bound:int ->
   ?seed:int ->
@@ -26,8 +25,8 @@ val explore_program :
   ?args:int list ->
   Nvmir.Prog.t ->
   Runtime.Crash_space.report
-(** Parallel equivalent of {!Runtime.Crash_space.explore}; [entry]
-    defaults to ["main"]. *)
+(** {!Runtime.Crash_space.explore} with [entry] defaulting to
+    ["main"]. *)
 
 val sweep :
   ?domains:int ->
@@ -37,7 +36,7 @@ val sweep :
   ?oracle:Runtime.Crash_space.oracle ->
   job list ->
   program_report list
-(** Explore many programs at once, interleaving their crash points over
-    one pool; results are returned in job order. *)
+(** Explore many programs at once, one program per pool task; results
+    are returned in job order, one per job (jobs may share a name). *)
 
 val pp_program_report : program_report Fmt.t

@@ -46,6 +46,10 @@ type report = {
    shadow-segment keys distinct across client heaps. *)
 let client_obj_id_stride = 1 lsl 20
 
+let call_depth_message loc =
+  Fmt.str "call depth exceeded %d nested calls at %a"
+    Runtime.Interp.max_call_depth Nvmir.Loc.pp loc
+
 let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
   match entry with
   | None -> (Dynamic_skipped "no entry point", [])
@@ -68,7 +72,10 @@ let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
           Runtime.Dynamic.warnings checker )
       | Runtime.Interp.Out_of_fuel ->
         (Dynamic_skipped "execution exceeded fuel budget",
-         Runtime.Dynamic.warnings checker))
+         Runtime.Dynamic.warnings checker)
+      | Runtime.Interp.Call_depth_exceeded loc ->
+        ( Dynamic_skipped (call_depth_message loc),
+          Runtime.Dynamic.warnings checker ))
     | Some _ ->
       (* N client domains execute the entry concurrently, each on its own
          heap, observed by one checker through client-bound listeners.
@@ -95,7 +102,9 @@ let run_dynamic_analysis (t : t) ?entry ?args ?(clients = 1) prog =
                 (Fmt.str "client %d: runtime error at %a: %s" c Nvmir.Loc.pp
                    loc m)
             | Runtime.Interp.Out_of_fuel ->
-              Some (Fmt.str "client %d: execution exceeded fuel budget" c))
+              Some (Fmt.str "client %d: execution exceeded fuel budget" c)
+            | Runtime.Interp.Call_depth_exceeded loc ->
+              Some (Fmt.str "client %d: %s" c (call_depth_message loc)))
           (List.init clients Fun.id)
         |> List.filter_map Fun.id
       in

@@ -31,7 +31,9 @@ let dynamic_warnings ~model ~entry ~args prog =
   Runtime.Dynamic.attach checker pmem;
   let interp = Runtime.Interp.create ~pmem prog in
   (try ignore (Runtime.Interp.run ~entry ~args interp) with
-  | Runtime.Interp.Runtime_error _ | Runtime.Interp.Out_of_fuel -> ());
+  | Runtime.Interp.Runtime_error _ | Runtime.Interp.Out_of_fuel
+  | Runtime.Interp.Call_depth_exceeded _ ->
+    ());
   Runtime.Dynamic.warnings checker
 
 let make_base ?(offset_sensitive = true) ~bname ~model ~roots ~entry

@@ -106,7 +106,10 @@ let run_recovery ~recovery_entry ~args heap prog =
   let outcome =
     match Interp.run_values ~entry:recovery_entry ~args interp with
     | v -> Ok v
-    | exception (Interp.Runtime_error _ | Interp.Out_of_fuel) -> Error ()
+    | exception
+        (Interp.Runtime_error _ | Interp.Out_of_fuel
+        | Interp.Call_depth_exceeded _) ->
+      Error ()
   in
   (outcome, Interp.corrupt_reads interp)
 
@@ -259,39 +262,32 @@ let verify ?config ?entry ?args ?(recovery_entry = "recover") ?bound
       invalid_arg
         (Fmt.str "Recover.verify: no recovery entry %S" recovery_entry)
   in
-  let crash_points = Crash_space.count_points ?config ?entry ?args prog in
-  let tasks =
-    List.init crash_points (fun i -> Crash_space.Point (i + 1))
-    @ [ Crash_space.Exit ]
-  in
   let counter = ref 0 in
   let heap_names = Hashtbl.create 8 in
-  let checks, sampled =
-    List.fold_left
-      (fun (acc, sampled) task ->
-        let from, images, s =
-          Crash_space.crash_images ?config ?entry ?args ?bound ~seed ~task
-            prog
-        in
+  let checks = ref [] and sampled = ref false in
+  (* one run of the program: each point's images are checked while its
+     crashed heap is live *)
+  let crash_points =
+    Crash_space.iter_images ?config ?entry ?args ?bound ~seed
+      (fun from images s ->
         List.iter
           (fun id ->
             match Pmem.obj_name from id with
             | Some n -> Hashtbl.replace heap_names id n
             | None -> ())
           (Pmem.live_objects from);
-        let checks =
-          List.map
-            (fun ci ->
-              incr counter;
-              let seed =
-                if corrupt then Some (seed + (137 * !counter)) else None
-              in
-              check_image ?config ~recovery_entry ~fn ~seed prog ci ~from)
-            images
-        in
-        (acc @ checks, sampled || s))
-      ([], false) tasks
+        List.iter
+          (fun ci ->
+            incr counter;
+            let seed = if corrupt then Some (seed + (137 * !counter)) else None in
+            checks :=
+              check_image ?config ~recovery_entry ~fn ~seed prog ci ~from
+              :: !checks)
+          images;
+        sampled := !sampled || s)
+      prog
   in
+  let checks = List.rev !checks and sampled = !sampled in
   let heap_name id =
     match Hashtbl.find_opt heap_names id with
     | Some n -> n

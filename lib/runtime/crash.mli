@@ -27,7 +27,7 @@ val counting_listener : int ref -> Pmem.listener
 
 val crashing_listener : at:int -> int ref -> Pmem.listener
 (** Like {!counting_listener} but raises {!Crashed} when the counter
-    reaches [at]. Shared with {!Crash_space}. *)
+    reaches [at]. *)
 
 val test :
   ?config:Config.t ->

@@ -11,8 +11,9 @@
    reachable post-crash images is the standard ground-truth oracle for
    crash-consistency detectors (WITCHER, PMRace).
 
-   At every crash point (and at program exit, where still-volatile lines
-   are simply lost) this module:
+   The program runs once. Its listener stops at every crash point (and
+   at program exit, where still-volatile lines are simply lost), reads
+   the live heap and lets the run continue; at each point this module:
 
    - takes the candidate lines from [Pmem.inflight_lines];
    - materializes each persisted-subset via [Pmem.materialize], with
@@ -29,9 +30,12 @@
    over the materialized heap, or the built-in [Sequential] oracle that
    accepts an image iff it equals some program-order prefix of the
    recorded write sequence (the states strict persistency allows) and,
-   at exit, iff no write is left volatile. Because the empty subset is
-   always explored, every violation the prefix oracle reports is also
-   found here — the differential test suite checks that inclusion. *)
+   at exit, iff no write is left volatile. The prefix check replays the
+   write sequence once per distinct image, counting the slots that still
+   differ, so judging an image is linear in writes plus slots. Because
+   the empty subset is always explored, every violation the prefix
+   oracle reports is also found here — the differential test suite
+   checks that inclusion. *)
 
 type oracle =
   | Sequential
@@ -66,16 +70,27 @@ type report = {
 let default_bound = 256
 let count_points = Crash.count_events
 
-(* Re-execute up to [task] (a crash point, or completion for [Exit]),
-   recording the persistent write sequence for the Sequential oracle. *)
-let run_to ?config ?entry ?args ~task prog =
+let m_runs =
+  Obs.Metrics.counter "crash.interp_runs"
+    ~desc:
+      "interpreter runs started to enumerate crash images (explorer and \
+       recovery tier)"
+
+(* One interpreted run. [visit (Point k) pmem rev_writes] fires at the
+   k-th persistent event, inside its listener notification: after the
+   event's state change and before [Pmem.write]'s spontaneous eviction,
+   which is the state a crash injected there leaves. [visit Exit] fires
+   once the run returns. [rev_writes] is the persistent write sequence
+   so far, newest first, for the Sequential oracle. Visitors only read
+   [pmem], so the run goes on exactly as it would uninterrupted. Returns
+   the number of points. *)
+let run ?config ?entry ?args prog visit =
   let pmem = Pmem.create ?config () in
   let writes = ref [] in
   let n = ref 0 in
-  let at = match task with Point k -> k | Exit -> max_int in
   let bump _loc =
     incr n;
-    if !n = at then raise Crash.Crashed
+    visit (Point !n) pmem !writes
   in
   let listener =
     {
@@ -93,52 +108,70 @@ let run_to ?config ?entry ?args ~task prog =
     }
   in
   Pmem.add_listener pmem listener;
-  let interp = Interp.create ~pmem prog in
-  let crashed =
-    try
-      ignore (Interp.run ?entry ?args interp);
-      false
-    with Crash.Crashed -> true
-  in
-  (pmem, List.rev !writes, crashed)
+  if Obs.enabled () then Obs.Metrics.incr m_runs;
+  ignore (Interp.run ?entry ?args (Interp.create ~pmem prog));
+  visit Exit pmem !writes;
+  !n
 
-(* Persistence-equivalence digest: an injective rendering of the durable
-   image, so images are compared (and pruned) by exact state, not by the
-   subset that produced them. *)
+(* Persistence-equivalence digest: an injective encoding of the durable
+   image (one tag per value constructor, fixed-width integers), so
+   images are compared (and pruned) by exact state, not by the subset
+   that produced them. *)
 let digest (img : (int, Value.t array) Hashtbl.t) =
   let ids = Hashtbl.fold (fun k _ a -> k :: a) img [] |> List.sort Int.compare in
   let b = Buffer.create 128 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
   List.iter
     (fun id ->
-      Buffer.add_string b (Fmt.str "o%d:" id);
+      Buffer.add_char b 'o';
+      int id;
       Array.iter
-        (fun v -> Buffer.add_string b (Fmt.str "%a;" Value.pp v))
+        (function
+          | Value.Vnull -> Buffer.add_char b 'n'
+          | Value.Vbool false -> Buffer.add_char b 'f'
+          | Value.Vbool true -> Buffer.add_char b 't'
+          | Value.Vint n ->
+            Buffer.add_char b 'i';
+            int n
+          | Value.Vref { obj; off } ->
+            Buffer.add_char b 'r';
+            int obj;
+            int off)
         (Hashtbl.find img id))
     ids;
   Buffer.contents b
 
-(* The digests of every program-order prefix of the write sequence,
-   replayed over an initially-zero image of the objects live at the
-   crash — the durable states a strictly-persistent execution can
-   expose. *)
-let prefix_digests pmem writes =
-  let img = Hashtbl.create 8 in
-  List.iter
-    (fun id ->
-      if Pmem.is_persistent pmem id then
-        Hashtbl.replace img id (Array.make (Pmem.obj_size pmem id) Value.Vnull))
-    (Pmem.live_objects pmem);
-  let set = Hashtbl.create (List.length writes + 1) in
-  Hashtbl.replace set (digest img) ();
-  List.iter
-    (fun ({ Pmem.obj_id; slot }, v) ->
-      match Hashtbl.find_opt img obj_id with
-      | Some arr ->
-        arr.(slot) <- v;
-        Hashtbl.replace set (digest img) ()
-      | None -> ())
-    writes;
-  set
+(* Does [img] equal some program-order prefix of the write sequence,
+   replayed over an initially-null image of its objects? Those are the
+   durable states a strictly-persistent execution can expose. One
+   replay keeps the number of slots where the replayed state differs
+   from [img]; the image matches when it reaches zero. *)
+let matches_prefix writes img =
+  let pairs = Hashtbl.create (Hashtbl.length img) in
+  let diff = ref 0 in
+  Hashtbl.iter
+    (fun id want ->
+      Hashtbl.replace pairs id (Array.make (Array.length want) Value.Vnull, want);
+      Array.iter (fun v -> if not (Value.equal v Value.Vnull) then incr diff) want)
+    img;
+  let step ({ Pmem.obj_id; slot }, v) =
+    match Hashtbl.find_opt pairs obj_id with
+    | Some (cur, want) ->
+      let was = Value.equal cur.(slot) want.(slot)
+      and now = Value.equal v want.(slot) in
+      cur.(slot) <- v;
+      if was && not now then incr diff
+      else if now && not was then decr diff
+    | None -> ()
+  in
+  let rec replay = function
+    | _ when !diff = 0 -> true
+    | [] -> false
+    | w :: ws ->
+      step w;
+      replay ws
+  in
+  replay writes
 
 (* Subsets of [ncand] candidate lines as bool arrays: exhaustive while
    2^ncand fits the bound, otherwise a deterministic LCG sample that
@@ -164,6 +197,37 @@ let enumerate ~bound ~seed ncand =
       true )
   end
 
+(* Walk the persisted-subsets of [task]'s in-flight lines and call
+   [f persist img digest] once per distinct durable image, in
+   enumeration order. The result counts the walk; it has no
+   witnesses. *)
+let iter_distinct ~bound ~seed task pmem f : point_result =
+  let cand = Array.of_list (Pmem.inflight_lines pmem) in
+  let ncand = Array.length cand in
+  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
+  let subs, sampled = enumerate ~bound ~seed ncand in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun sub ->
+      let persist = ref [] in
+      Array.iteri (fun i c -> if sub.(i) then persist := c :: !persist) cand;
+      let persist = List.rev !persist in
+      let img = Pmem.materialize pmem ~persist in
+      let dg = digest img in
+      if not (Hashtbl.mem seen dg) then begin
+        Hashtbl.replace seen dg ();
+        f persist img dg
+      end)
+    subs;
+  {
+    task;
+    candidate_lines = ncand;
+    subsets_enumerated = List.length subs;
+    distinct_images = Hashtbl.length seen;
+    sampled;
+    witnesses = [];
+  }
+
 let m_enumerated =
   Obs.Metrics.counter "crash.images_enumerated"
     ~desc:"write-back subsets enumerated across crash points"
@@ -179,31 +243,17 @@ let m_sampled =
 let m_points =
   Obs.Metrics.counter "crash.points_explored" ~desc:"crash points explored"
 
-let explore_task ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
-    ?(oracle = Sequential) ~task prog : point_result =
+(* Judge every distinct image of one crash point against [oracle]. *)
+let judge ~bound ~seed ~oracle task pmem rev_writes : point_result =
   Obs.Span.with_ ~name:"crash-point" (fun () ->
-  let pmem, writes, _crashed = run_to ?config ?entry ?args ~task prog in
-  let candidates = Pmem.inflight_lines pmem in
-  let cand = Array.of_list candidates in
-  let ncand = Array.length cand in
-  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
-  let subs, sampled = enumerate ~bound ~seed ncand in
-  let prefixes = lazy (prefix_digests pmem writes) in
+  let writes = lazy (List.rev rev_writes) in
   (* the exit reference: nothing in flight is lost *)
-  let complete = lazy (digest (Pmem.materialize pmem ~persist:candidates)) in
-  let seen = Hashtbl.create 64 in
+  let complete =
+    lazy (digest (Pmem.materialize pmem ~persist:(Pmem.inflight_lines pmem)))
+  in
   let witnesses = ref [] in
-  let enumerated = ref 0 in
-  List.iter
-    (fun sub ->
-      incr enumerated;
-      let persist = ref [] in
-      Array.iteri (fun i c -> if sub.(i) then persist := c :: !persist) cand;
-      let persist = List.rev !persist in
-      let img = Pmem.materialize pmem ~persist in
-      let dg = digest img in
-      if not (Hashtbl.mem seen dg) then begin
-        Hashtbl.replace seen dg ();
+  let p =
+    iter_distinct ~bound ~seed task pmem (fun persist img dg ->
         let verdict =
           match oracle with
           | Invariant f ->
@@ -215,7 +265,7 @@ let explore_task ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
           | Sequential -> (
             match task with
             | Point _ ->
-              if Hashtbl.mem (Lazy.force prefixes) dg then Ok ()
+              if matches_prefix (Lazy.force writes) img then Ok ()
               else
                 Error
                   "durable image matches no program-order prefix of the \
@@ -229,61 +279,15 @@ let explore_task ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
         | Error d ->
           witnesses :=
             { w_task = task; w_persisted = persist; w_detail = d }
-            :: !witnesses
-      end)
-    subs;
+            :: !witnesses)
+  in
   if Obs.enabled () then begin
     Obs.Metrics.incr m_points;
-    Obs.Metrics.add m_enumerated !enumerated;
-    Obs.Metrics.add m_pruned (!enumerated - Hashtbl.length seen);
-    if sampled then Obs.Metrics.incr m_sampled
+    Obs.Metrics.add m_enumerated p.subsets_enumerated;
+    Obs.Metrics.add m_pruned (p.subsets_enumerated - p.distinct_images);
+    if p.sampled then Obs.Metrics.incr m_sampled
   end;
-  {
-    task;
-    candidate_lines = ncand;
-    subsets_enumerated = !enumerated;
-    distinct_images = Hashtbl.length seen;
-    sampled;
-    witnesses = List.rev !witnesses;
-  })
-
-(* ------------------------------------------------------------------ *)
-(* Image enumeration for the recovery tier: the same subset walk as
-   [explore_task], but returning the crashed pmem and the distinct
-   materialized images instead of judging them against an oracle. The
-   recovery executor corrupts and restores each image separately. *)
-
-type crash_image = {
-  ci_task : task;
-  ci_persisted : (int * int) list;
-  ci_image : (int, Value.t array) Hashtbl.t;
-}
-
-let crash_images ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
-    ~task prog =
-  let pmem, _writes, _crashed = run_to ?config ?entry ?args ~task prog in
-  let candidates = Pmem.inflight_lines pmem in
-  let cand = Array.of_list candidates in
-  let ncand = Array.length cand in
-  let seed = seed lxor (match task with Point k -> k * 7919 | Exit -> 104729) in
-  let subs, sampled = enumerate ~bound ~seed ncand in
-  let seen = Hashtbl.create 64 in
-  let images = ref [] in
-  List.iter
-    (fun sub ->
-      let persist = ref [] in
-      Array.iteri (fun i c -> if sub.(i) then persist := c :: !persist) cand;
-      let persist = List.rev !persist in
-      let img = Pmem.materialize pmem ~persist in
-      let dg = digest img in
-      if not (Hashtbl.mem seen dg) then begin
-        Hashtbl.replace seen dg ();
-        images :=
-          { ci_task = task; ci_persisted = persist; ci_image = img }
-          :: !images
-      end)
-    subs;
-  (pmem, List.rev !images, sampled)
+  { p with witnesses = List.rev !witnesses })
 
 let summarize ~crash_points (points : point_result list) : report =
   let images_enumerated =
@@ -302,14 +306,38 @@ let summarize ~crash_points (points : point_result list) : report =
     witnesses;
   }
 
-let explore ?config ?entry ?args ?bound ?seed ?oracle prog : report =
-  let total = Crash.count_events ?config ?entry ?args prog in
-  let tasks = List.init total (fun i -> Point (i + 1)) @ [ Exit ] in
-  summarize ~crash_points:total
-    (List.map
-       (fun task ->
-         explore_task ?config ?entry ?args ?bound ?seed ?oracle ~task prog)
-       tasks)
+let explore ?config ?entry ?args ?(bound = default_bound) ?(seed = 1)
+    ?(oracle = Sequential) prog : report =
+  let points = ref [] in
+  let crash_points =
+    run ?config ?entry ?args prog (fun task pmem rev_writes ->
+        points := judge ~bound ~seed ~oracle task pmem rev_writes :: !points)
+  in
+  summarize ~crash_points (List.rev !points)
+
+(* ------------------------------------------------------------------ *)
+(* Image enumeration for the recovery tier: the same run and subset walk
+   as [explore], handing each point's crashed heap and distinct
+   materialized images to the caller instead of judging them. The
+   recovery executor corrupts and restores each image separately. *)
+
+type crash_image = {
+  ci_task : task;
+  ci_persisted : (int * int) list;
+  ci_image : (int, Value.t array) Hashtbl.t;
+}
+
+let iter_images ?config ?entry ?args ?(bound = default_bound) ?(seed = 1) f
+    prog =
+  run ?config ?entry ?args prog (fun task pmem _writes ->
+      let images = ref [] in
+      let p =
+        iter_distinct ~bound ~seed task pmem (fun persist img _ ->
+            images :=
+              { ci_task = task; ci_persisted = persist; ci_image = img }
+              :: !images)
+      in
+      f pmem (List.rev !images) p.sampled)
 
 let test ?config ?entry ?args ?bound ?seed ~invariant prog =
   explore ?config ?entry ?args ?bound ?seed ~oracle:(Invariant invariant) prog

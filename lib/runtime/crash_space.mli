@@ -58,20 +58,6 @@ val count_points :
 (** Alias of {!Crash.count_events}: how many [Point] tasks a program
     has. *)
 
-val explore_task :
-  ?config:Config.t ->
-  ?entry:string ->
-  ?args:int list ->
-  ?bound:int ->
-  ?seed:int ->
-  ?oracle:oracle ->
-  task:task ->
-  Nvmir.Prog.t ->
-  point_result
-(** Explore one crash point (re-executes the program up to it). Pure
-    per-task, so callers may fan tasks out across domains and
-    {!summarize} the results. *)
-
 (** {1 Image enumeration} — the recovery tier's entry point. *)
 
 (** One distinct durable image of a crash task: which in-flight lines
@@ -83,21 +69,23 @@ type crash_image = {
   ci_image : (int, Value.t array) Hashtbl.t;
 }
 
-val crash_images :
+val iter_images :
   ?config:Config.t ->
   ?entry:string ->
   ?args:int list ->
   ?bound:int ->
   ?seed:int ->
-  task:task ->
+  (Pmem.t -> crash_image list -> bool -> unit) ->
   Nvmir.Prog.t ->
-  Pmem.t * crash_image list * bool
-(** The crashed heap, the distinct durable images it can leave (same
-    enumeration, pruning and bound as {!explore_task}), and whether the
-    subset space was sampled. The pmem is what {!Pmem.corrupt_image}
-    seeds from and {!Pmem.restore} copies object metadata from. *)
-
-val summarize : crash_points:int -> point_result list -> report
+  int
+(** [iter_images f prog] runs [prog] once. At every crash point, in
+    order, and then at {!Exit}, it calls [f pmem images sampled]: the
+    crashed heap, the distinct durable images it can leave (same
+    enumeration, pruning and bound as {!explore}), and whether the
+    subset space was sampled. The heap is the live one of the run: [f]
+    may read it (it is what {!Pmem.corrupt_image} seeds from and
+    {!Pmem.restore} copies object metadata from) but not keep or change
+    it. Returns the number of crash points, excluding exit. *)
 
 val explore :
   ?config:Config.t ->
@@ -108,7 +96,8 @@ val explore :
   ?oracle:oracle ->
   Nvmir.Prog.t ->
   report
-(** Sequential exploration of every crash point plus {!Exit}. *)
+(** Explore every crash point plus {!Exit} in one interpreted run: each
+    point is judged on the live heap when its event fires. *)
 
 val test :
   ?config:Config.t ->

@@ -8,6 +8,12 @@
 
 exception Runtime_error of string * Nvmir.Loc.t
 exception Out_of_fuel
+exception Call_depth_exceeded of Nvmir.Loc.t
+
+(* Nested calls a run may hold open: well past any bounded program's
+   depth, and small enough that runaway recursion stops within
+   milliseconds instead of growing the stack until fuel runs out. *)
+let max_call_depth = 10_000
 
 exception Corrupt_read of Pmem.addr * Nvmir.Loc.t
 (* The typed outcome of an unguarded read hitting a media-corrupt slot,
@@ -52,6 +58,7 @@ type t = {
   pmem : Pmem.t;
   mutable fuel : int;
   mutable steps : int;
+  mutable depth : int; (* calls open below the entry frame *)
   boundary_hook : (boundary -> Nvmir.Loc.t -> unit) option;
   trap_corrupt : bool;
   mutable corrupt_reads : (Pmem.addr * Nvmir.Loc.t) list; (* reversed *)
@@ -59,7 +66,7 @@ type t = {
 
 let create ?(fuel = 5_000_000) ?boundary_hook ?(trap_corrupt_reads = false)
     ~pmem prog =
-  { prog; pmem; fuel; steps = 0; boundary_hook;
+  { prog; pmem; fuel; steps = 0; depth = 0; boundary_hook;
     trap_corrupt = trap_corrupt_reads; corrupt_reads = [] }
 
 let pmem t = t.pmem
@@ -332,7 +339,10 @@ and exec_instr t frame (i : Nvmir.Instr.t) =
     let arg_vals = List.map (eval_operand frame loc) args in
     match Nvmir.Prog.find_func t.prog callee with
     | Some f ->
+      if t.depth >= max_call_depth then raise (Call_depth_exceeded loc);
+      t.depth <- t.depth + 1;
       let ret = exec_func t f arg_vals in
+      t.depth <- t.depth - 1;
       Option.iter (fun d -> Hashtbl.replace frame.vars d ret) dst
     | None -> error loc "call to undefined function %s" callee)
   | Nvmir.Instr.Crc_of { dst; target; extent } ->
@@ -360,7 +370,10 @@ and exec_instr t frame (i : Nvmir.Instr.t) =
 let run_values ?(entry = "main") ?(args = []) t : Value.t =
   match Nvmir.Prog.find_func t.prog entry with
   | None -> invalid_arg (Fmt.str "Interp.run_values: no function %s" entry)
-  | Some f -> exec_func t f args
+  | Some f ->
+    (* a run that raised left its calls open *)
+    t.depth <- 0;
+    exec_func t f args
 
 (* Run [entry] with integer arguments. *)
 let run ?(entry = "main") ?(args = []) t : Value.t =

@@ -6,6 +6,13 @@
 exception Runtime_error of string * Nvmir.Loc.t
 exception Out_of_fuel
 
+exception Call_depth_exceeded of Nvmir.Loc.t
+(** A call at this location would nest more than {!max_call_depth}
+    calls: runaway recursion, reported before it exhausts the stack. *)
+
+val max_call_depth : int
+(** 10,000 nested calls below the entry function. *)
+
 exception Corrupt_read of Pmem.addr * Nvmir.Loc.t
 (** Typed outcome of an unguarded read (a load, or a pointer deref
     during place resolution) hitting a media-corrupt slot. Raised only
@@ -39,7 +46,8 @@ val create :
   pmem:Pmem.t ->
   Nvmir.Prog.t ->
   t
-(** [fuel] bounds executed steps (default 5M). [boundary_hook] fires
+(** [fuel] bounds executed steps (default 5M); {!max_call_depth}
+    bounds nested calls. [boundary_hook] fires
     {e before} each boundary instruction executes — so a hook observing
     [Bflush] runs between the preceding stores and the write-back,
     which is exactly the preemption window delay-injection schedulers
@@ -58,6 +66,8 @@ val run : ?entry:string -> ?args:int list -> t -> Value.t
 (** Execute [entry] (default ["main"]) with integer arguments.
     @raise Runtime_error on ill-formed executions.
     @raise Out_of_fuel when the step budget is exhausted.
+    @raise Call_depth_exceeded when calls nest deeper than
+    {!max_call_depth}.
     @raise Invalid_argument when [entry] is undefined. *)
 
 val run_values : ?entry:string -> ?args:Value.t list -> t -> Value.t

@@ -184,7 +184,7 @@ let test_fixed_variants_crash_explore () =
       | None -> ()
       | Some fixed -> (
         match
-          Deepmc.Crash_sweep.explore_program ~domains:1 ~entry:p.Corpus.Types.entry
+          Deepmc.Crash_sweep.explore_program ~entry:p.Corpus.Types.entry
             ~args:p.Corpus.Types.entry_args fixed
         with
         | _ -> ()

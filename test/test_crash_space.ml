@@ -242,17 +242,73 @@ let test_deterministic () =
   check Alcotest.int "same verdicts" r1.Runtime.Crash_space.inconsistent
     r2.Runtime.Crash_space.inconsistent
 
-(* Parallel fan-out agrees with the sequential explorer. *)
+(* The program fan-out agrees with the sequential explorer, at one
+   domain and at two: same reports, in job order. *)
+let sweep_jobs () =
+  let synth seed pct =
+    fst
+      (Corpus.Synth.generate
+         {
+           Corpus.Synth.default_config with
+           Corpus.Synth.nfuncs = 4;
+           seed;
+           buggy_fraction_pct = pct;
+         })
+  in
+  List.map
+    (fun (name, prog) -> { Deepmc.Crash_sweep.name; prog; entry = "main"; args = [] })
+    [
+      ("buggy", Nvmir.Parser.parse buggy_hashmap_src);
+      ("fixed", Nvmir.Parser.parse fixed_hashmap_src);
+      ("synth1", synth 1 100);
+      ("synth2", synth 2 30);
+    ]
+
 let test_parallel_matches_sequential () =
-  let prog = Nvmir.Parser.parse buggy_hashmap_src in
-  let seq = Runtime.Crash_space.explore ~entry:"main" prog in
-  let par = Deepmc.Crash_sweep.explore_program ~domains:4 ~entry:"main" prog in
-  check Alcotest.int "crash points" seq.Runtime.Crash_space.crash_points
-    par.Runtime.Crash_space.crash_points;
-  check Alcotest.int "images" seq.Runtime.Crash_space.images_enumerated
-    par.Runtime.Crash_space.images_enumerated;
-  check Alcotest.int "inconsistent" seq.Runtime.Crash_space.inconsistent
-    par.Runtime.Crash_space.inconsistent
+  let jobs = sweep_jobs () in
+  let seq =
+    List.map
+      (fun (j : Deepmc.Crash_sweep.job) ->
+        Runtime.Crash_space.explore ~entry:j.Deepmc.Crash_sweep.entry
+          j.Deepmc.Crash_sweep.prog)
+      jobs
+  in
+  List.iter
+    (fun domains ->
+      let par = Deepmc.Crash_sweep.sweep ~domains jobs in
+      check
+        Alcotest.(list string)
+        (Fmt.str "job order at %d domain(s)" domains)
+        [ "buggy"; "fixed"; "synth1"; "synth2" ]
+        (List.map (fun (r : Deepmc.Crash_sweep.program_report) -> r.Deepmc.Crash_sweep.name) par);
+      List.iter2
+        (fun s (r : Deepmc.Crash_sweep.program_report) ->
+          check Alcotest.bool
+            (Fmt.str "%s at %d domain(s)" r.Deepmc.Crash_sweep.name domains)
+            true
+            (s = r.Deepmc.Crash_sweep.report))
+        seq par)
+    [ 1; 2 ]
+
+(* Two jobs may share a name: each still gets its own program's points
+   only. *)
+let test_sweep_shared_names () =
+  let jobs =
+    List.map
+      (fun (j : Deepmc.Crash_sweep.job) -> { j with Deepmc.Crash_sweep.name = "dup" })
+      (sweep_jobs ())
+  in
+  List.iter2
+    (fun (j : Deepmc.Crash_sweep.job) (r : Deepmc.Crash_sweep.program_report) ->
+      let want = Runtime.Crash_space.explore ~entry:"main" j.Deepmc.Crash_sweep.prog in
+      check Alcotest.int "crash points" want.Runtime.Crash_space.crash_points
+        r.Deepmc.Crash_sweep.report.Runtime.Crash_space.crash_points;
+      check Alcotest.int "one result per point (+ exit)"
+        (want.Runtime.Crash_space.crash_points + 1)
+        (List.length r.Deepmc.Crash_sweep.report.Runtime.Crash_space.points);
+      check Alcotest.bool "own report" true (want = r.Deepmc.Crash_sweep.report))
+    jobs
+    (Deepmc.Crash_sweep.sweep ~domains:2 jobs)
 
 (* materialize with no lines persisted is the durable snapshot. *)
 let test_materialize_empty_is_snapshot () =
@@ -292,6 +348,8 @@ let suite =
     tc "exploration is deterministic" `Quick test_deterministic;
     tc "parallel sweep matches sequential explore" `Quick
       test_parallel_matches_sequential;
+    tc "sweep keeps jobs that share a name apart" `Quick
+      test_sweep_shared_names;
     tc "materialize [] = durable snapshot" `Quick
       test_materialize_empty_is_snapshot;
   ]

@@ -198,6 +198,67 @@ spin:
   | exception Runtime.Interp.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected Out_of_fuel"
 
+(* Runaway recursion, direct or mutual, stops at the call-depth bound
+   with its own error, long before the fuel runs out; recursion just
+   inside the bound still runs. *)
+let depth_error src =
+  let t0 = Unix.gettimeofday () in
+  (match run src with
+  | exception Runtime.Interp.Call_depth_exceeded _ -> ()
+  | _ -> Alcotest.fail "expected Call_depth_exceeded");
+  check Alcotest.bool "fails fast" true (Unix.gettimeofday () -. t0 < 1.)
+
+let test_call_depth_bound () =
+  depth_error {|
+func main() {
+entry:
+  call main()
+  ret
+}
+|};
+  depth_error
+    {|
+func ping(n: int) {
+entry:
+  m = n + 1
+  call pong(m)
+  ret
+}
+func pong(n: int) {
+entry:
+  call ping(n)
+  ret
+}
+func main() {
+entry:
+  call ping(0)
+  ret
+}
+|};
+  (* main's call to down plus n recursive ones: exactly the bound *)
+  let n = Runtime.Interp.max_call_depth - 1 in
+  check Alcotest.int "depth at the bound" n
+    (ret_int ~args:[ n ]
+       {|
+func down(n: int) -> int {
+entry:
+  c = n < 1
+  br c, base, rec
+base:
+  ret 0
+rec:
+  m = n - 1
+  r = call down(m)
+  s = r + 1
+  ret s
+}
+func main(n: int) -> int {
+entry:
+  r = call down(n)
+  ret r
+}
+|})
+
 let test_division_by_zero () =
   match
     run {|
@@ -255,6 +316,7 @@ let suite =
     tc "arithmetic" `Quick test_arithmetic;
     tc "branches and loops" `Quick test_branches_and_loops;
     tc "recursive calls" `Quick test_calls_and_args;
+    tc "call-depth bound" `Quick test_call_depth_bound;
     tc "struct fields and arrays" `Quick test_struct_fields_and_arrays;
     tc "pointer chase" `Quick test_pointer_chase;
     tc "address-of and interior pointers" `Quick

@@ -89,6 +89,7 @@ let test_catalog_registration () =
       "pool.steals"; "trace.paths_expanded"; "rules.events_scanned";
       "rules.events_stepped";
       "checker.warning_total"; "shadow.lock_contention"; "crash.points_explored";
+      "crash.interp_runs";
       "inject.blind_spot_fns";
     ];
   check Alcotest.bool "catalog sorted" true

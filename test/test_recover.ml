@@ -14,26 +14,28 @@ let guarded () = Corpus.Types.parse Corpus.Recovery.guarded
 let unguarded () = Corpus.Types.parse Corpus.Recovery.unguarded
 
 (* every crash task of [prog], so properties sweep the whole image
-   space rather than one hand-picked point *)
-let tasks prog =
-  let n = Crash_space.count_points prog in
-  List.init n (fun k -> Crash_space.Point (k + 1)) @ [ Crash_space.Exit ]
-
-let corrupted_images ~seed prog =
-  List.concat_map
-    (fun task ->
-      let pmem, images, _ = Crash_space.crash_images ~seed ~task prog in
-      List.map
-        (fun (ci : Crash_space.crash_image) ->
-          let cs = Pmem.corrupt_image pmem ~seed ci.Crash_space.ci_image in
-          let heap =
-            Pmem.restore ~from:pmem ~image:ci.Crash_space.ci_image
-              ~corrupt:(List.map (fun (c : Pmem.corruption) -> c.Pmem.c_addr) cs)
-              ()
-          in
-          (heap, cs))
-        images)
-    (tasks prog)
+   space rather than one hand-picked point; the crashed heap is live
+   only inside the callback, so each image is restored there *)
+let restored_images ~seed ~corrupt prog =
+  let out = ref [] in
+  ignore
+    (Crash_space.iter_images ~seed
+       (fun pmem images _ ->
+         List.iter
+           (fun (ci : Crash_space.crash_image) ->
+             let cs =
+               if corrupt then Pmem.corrupt_image pmem ~seed ci.Crash_space.ci_image
+               else []
+             in
+             let heap =
+               Pmem.restore ~from:pmem ~image:ci.Crash_space.ci_image
+                 ~corrupt:(List.map (fun (c : Pmem.corruption) -> c.Pmem.c_addr) cs)
+                 ()
+             in
+             out := (heap, cs) :: !out)
+           images)
+       prog);
+  List.rev !out
 
 (* Axiom 1: a CRC-guarded read never reports "valid" over a corrupted
    slot — even when handed the checksum of the corrupted contents (the
@@ -55,7 +57,7 @@ let prop_guard_rejects_every_corruption =
                 (Pmem.crc_check_range heap ~obj_id ~first_slot:slot ~nslots:1
                    ~crc:(Runtime.Value.Vint crc)))
             cs)
-        (corrupted_images ~seed (unguarded ())))
+        (restored_images ~seed ~corrupt:true (unguarded ())))
 
 (* Axiom 2: an uncorrupted restored image always validates — the guard
    has no false alarms that would make recovery reject good state. *)
@@ -63,28 +65,19 @@ let prop_uncorrupted_always_validates =
   QCheck.Test.make ~name:"uncorrupted images always validate" ~count:30
     QCheck.(map (fun s -> 1 + abs s) int)
     (fun seed ->
-      let prog = guarded () in
       List.for_all
-        (fun task ->
-          let pmem, images, _ = Crash_space.crash_images ~seed ~task prog in
+        (fun (heap, _) ->
           List.for_all
-            (fun (ci : Crash_space.crash_image) ->
-              let heap =
-                Pmem.restore ~from:pmem ~image:ci.Crash_space.ci_image
-                  ~corrupt:[] ()
-              in
-              List.for_all
-                (fun obj_id ->
-                  (not (Pmem.is_persistent heap obj_id))
-                  || Pmem.crc_check_range heap ~obj_id ~first_slot:0
-                       ~nslots:(Pmem.obj_size heap obj_id)
-                       ~crc:
-                         (Runtime.Value.Vint
-                            (Pmem.crc_of_range heap ~obj_id ~first_slot:0
-                               ~nslots:(Pmem.obj_size heap obj_id))))
-                (Pmem.live_objects heap))
-            images)
-        (tasks prog))
+            (fun obj_id ->
+              (not (Pmem.is_persistent heap obj_id))
+              || Pmem.crc_check_range heap ~obj_id ~first_slot:0
+                   ~nslots:(Pmem.obj_size heap obj_id)
+                   ~crc:
+                     (Runtime.Value.Vint
+                        (Pmem.crc_of_range heap ~obj_id ~first_slot:0
+                           ~nslots:(Pmem.obj_size heap obj_id))))
+            (Pmem.live_objects heap))
+        (restored_images ~seed ~corrupt:false (guarded ())))
 
 (* Axiom 3: the executor is a pure function of (program, seed) — same
    seed, byte-identical report; and the verdict partition always sums
